@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import models as mdl
-from . import qlayer, seisdata, trainer
+from . import seisdata, trainer
 from .objectives import EvalReport, LossWeights, amplitude_spectrum, fk_spectrum
 from .selftest import run_selftest
 
@@ -214,9 +214,6 @@ def cmd_train(args) -> int:
         log.error("%s", exc)
         return EXIT_CONFIG
 
-    if args.workers:
-        qlayer.set_workers(args.workers)
-
     data_dir = Path(cfg["data"]["dir"])
     try:
         train_set = seisdata.load_split(data_dir, "train")
@@ -286,8 +283,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _restore_eval_model(ckpt: trainer.Checkpoint):
-    arch = ckpt.config["arch"]
+def _restore_eval_model(ckpt: trainer.Checkpoint, task: str):
+    if ckpt.require("task") != task:
+        raise trainer.CheckpointError(
+            f"checkpoint was trained on task {ckpt.config['task']!r} but dataset is {task!r}")
+    arch = ckpt.require("arch")
     if "generator" in arch:
         model = mdl.build_model(arch["generator"])
         trainer.load_model_state(model, ckpt, "generator")
@@ -322,8 +322,6 @@ def _dump_spectra(out_dir: Path, index: int, target, degraded, predicted, dt: fl
 
 
 def cmd_eval(args) -> int:
-    if args.workers:
-        qlayer.set_workers(args.workers)
     try:
         ckpt = trainer.load_checkpoint(args.checkpoint)
     except trainer.CheckpointError as exc:
@@ -334,12 +332,8 @@ def cmd_eval(args) -> int:
     except (OSError, ValueError) as exc:
         log.error("cannot load dataset: %s", exc)
         return EXIT_IO
-    if ckpt.config.get("task") != test_set.task:
-        log.error("checkpoint was trained on task %r but dataset is %r",
-                  ckpt.config.get("task"), test_set.task)
-        return EXIT_MISMATCH
     try:
-        model = _restore_eval_model(ckpt)
+        model = _restore_eval_model(ckpt, test_set.task)
     except trainer.CheckpointError as exc:
         log.error("%s", exc)
         return EXIT_MISMATCH
@@ -375,8 +369,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    if getattr(args, "workers", None):
-        qlayer.set_workers(args.workers)
     results = run_selftest()
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -420,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train from a JSON run config")
     train.add_argument("--config", required=True)
     train.add_argument("--resume", default=None, help="checkpoint to continue from")
-    train.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="quantum-layer evaluation threads")
+    train.add_argument("--workers", type=int, default=None,
+                       help="accepted for older scripts; the quantum layer starts no threads")
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
@@ -429,11 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--report", required=True)
     ev.add_argument("--spectra-dir", default=None)
-    ev.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    ev.add_argument("--workers", type=int, default=None, help="accepted and ignored, as for train")
     ev.set_defaults(func=cmd_eval)
 
     st = sub.add_parser("selftest", help="run the built-in verification suite")
-    st.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    st.add_argument("--workers", type=int, default=None, help="accepted and ignored, as for train")
     st.set_defaults(func=cmd_selftest)
     return parser
 

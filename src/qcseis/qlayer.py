@@ -3,23 +3,27 @@
 The trace axis of a [B, C, T, S] map is unfolded into non-overlapping
 windows of n_qubits samples, each window is angle-encoded, evolved through
 every fixed random circuit, and measured; per-circuit expectations become
-output channels. The layer is differentiable with respect to its input via
-the parameter-shift rule.
+output channels.
 
-The batched evaluator here keeps amplitudes as real float64 arrays (the
-only gates used have real matrix entries), evolving all windows at once.
-qsim remains the scalar single-state reference that this implementation is
-tested against. Per-window values are independent of how the window axis
-is chunked, so results are bit-identical for any worker count.
+Circuits are frozen and the encoding gives a real product state a(x), so
+each expectation is the exact quadratic form E_k(x) = a(x)^T H_k a(x) with
+H_k = M_k diag(z) M_k^T, where row r of M_k is basis state r evolved by
+circuit k (run through qsim, which holds the only gate kernels) and z is
+the Pauli-Z sign pattern of qubit 0. Since da/dx_j = a(x + pi e_j) / 2 and
+H_k is symmetric, dE_k/dx_j = (a H_k) . a(x + pi e_j), so the input
+gradient needs no parameter shifts. H_k is cached by circuit content.
+qsim remains the scalar single-state reference (including the
+parameter-shift rule) that this implementation is tested against.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import autograd as ag
+from . import qsim
 from .qsim import MAX_QUBITS, RandomCircuit
 
 __all__ = [
@@ -36,7 +40,7 @@ _WORKERS = 1
 
 
 def set_workers(n: int) -> None:
-    """Cap the number of threads used to evaluate window chunks."""
+    """Record a worker count; kept for callers, the layer starts no threads."""
     global _WORKERS
     _WORKERS = max(1, int(n))
 
@@ -106,38 +110,7 @@ def unfold(x, cfg: QuantumLayerConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched real-amplitude evolution
-
-
-def _ry_rows(amps: np.ndarray, qubit: int, theta, n_qubits: int) -> np.ndarray:
-    """Apply an Ry to one qubit of a batch of real amplitude rows.
-
-    theta may be a scalar (shared gate angle) or one angle per row.
-    """
-    half = 0.5 * np.asarray(theta, dtype=np.float64)
-    c, s = np.cos(half), np.sin(half)
-    m = amps.shape[0]
-    a = amps.reshape((m,) + (2,) * n_qubits)
-    axis = 1 + (n_qubits - 1 - qubit)
-    a0 = np.take(a, 0, axis=axis)
-    a1 = np.take(a, 1, axis=axis)
-    if c.ndim:
-        bshape = (m,) + (1,) * (n_qubits - 1)
-        c = c.reshape(bshape)
-        s = s.reshape(bshape)
-    new0 = c * a0 - s * a1
-    new1 = s * a0 + c * a1
-    return np.stack([new0, new1], axis=axis).reshape(amps.shape)
-
-
-def _cnot_rows(amps: np.ndarray, control: int, target: int, n_qubits: int) -> np.ndarray:
-    k = np.arange(2 ** n_qubits)
-    src = k[(((k >> control) & 1) == 1) & (((k >> target) & 1) == 0)]
-    dst = src | (1 << target)
-    out = amps.copy()
-    out[:, src] = amps[:, dst]
-    out[:, dst] = amps[:, src]
-    return out
+# closed-form expectations
 
 
 def _encode_rows(rows: np.ndarray) -> np.ndarray:
@@ -152,53 +125,29 @@ def _encode_rows(rows: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _circuit_matrix(circuit: RandomCircuit) -> np.ndarray:
-    """Dense row-operator of a fixed circuit: row r is the evolved basis state r.
+@lru_cache(maxsize=128)
+def _observable(n_qubits: int, angles_bytes: bytes, layout: tuple) -> np.ndarray:
+    """Symmetric H with <Z_0> = a^T H a for every real input amplitude row a.
 
-    Amplitude rows evolve as `amps @ matrix`. Legal because circuit angles
-    are frozen, so the whole gate program collapses to one matrix.
+    Keyed by the circuit's content, not its identity: layers rebuild their
+    circuits from angle buffers on every call, and restoring a checkpoint
+    replaces those buffers. The bound holds every circuit of a GAN pair.
     """
-    nq = circuit.n_qubits
-    mat = np.eye(2 ** nq)
-    for layer in range(circuit.depth):
-        for qubit in range(nq):
-            mat = _ry_rows(mat, qubit, float(circuit.angles[layer, qubit]), nq)
-        for control, target in circuit.entangler_layout[layer]:
-            mat = _cnot_rows(mat, control, target, nq)
-    return mat
+    angles = np.frombuffer(angles_bytes, dtype=np.float64).reshape(len(layout), n_qubits)
+    circuit = RandomCircuit(index=0, depth=len(layout), n_qubits=n_qubits, seed=0,
+                            angles=angles, entangler_layout=layout)
+    obs = qsim.Observable(0)
+    basis = np.eye(2 ** n_qubits)
+    states = [qsim.QuantumState(n_qubits, row) for row in basis]
+    evolved = np.stack([qsim.run_circuit(state, circuit).amplitudes for state in states])
+    z = np.array([qsim.expect(state, obs) for state in states])
+    h = ((evolved * z) @ evolved.conj().T).real
+    h.setflags(write=False)
+    return h
 
 
-def _expect_rows(amps: np.ndarray, target_qubit: int, n_qubits: int) -> np.ndarray:
-    k = np.arange(2 ** n_qubits)
-    signs = 1.0 - 2.0 * ((k >> target_qubit) & 1)
-    return (amps * amps * signs).sum(axis=1)
-
-
-def _eval_rows(rows: np.ndarray, matrices, target_qubit: int) -> np.ndarray:
-    """Expectations for every (circuit, window): returns [n_circuits, m]."""
-    nq = rows.shape[1]
-    encoded = _encode_rows(rows)
-    out = np.empty((len(matrices), rows.shape[0]))
-    for i, mat in enumerate(matrices):
-        out[i] = _expect_rows(encoded @ mat, target_qubit, nq)
-    return out
-
-
-def _eval_rows_chunked(rows: np.ndarray, matrices, target_qubit: int, workers: int) -> np.ndarray:
-    m = rows.shape[0]
-    if workers <= 1 or m < 2 * workers:
-        return _eval_rows(rows, matrices, target_qubit)
-    out = np.empty((len(matrices), m))
-    bounds = np.linspace(0, m, workers + 1, dtype=int)
-    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def fill(span):
-        lo, hi = span
-        out[:, lo:hi] = _eval_rows(rows[lo:hi], matrices, target_qubit)
-
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        list(pool.map(fill, spans))
-    return out
+def _observables(circuits) -> list[np.ndarray]:
+    return [_observable(c.n_qubits, c.angles.tobytes(), c.entangler_layout) for c in circuits]
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +170,15 @@ def quantum_forward(x, circuits, cfg: QuantumLayerConfig, workers: int | None = 
 
     Expectations are averaged over input channels, then repeated along the
     trace axis (and cropped) so the output [B, K, T, S] is spatially
-    aligned with the input for channel-wise concatenation.
+    aligned with the input for channel-wise concatenation. `workers` is
+    accepted for callers and selects nothing.
     """
     arr = _as_array(x).astype(np.float64, copy=False)
     _check_circuits(circuits, cfg)
-    workers = get_workers() if workers is None else max(1, int(workers))
     b, c, t, s = arr.shape
     rows = unfold(arr, cfg) * cfg.input_scale
-    matrices = [_circuit_matrix(circ) for circ in circuits]
-    y = _eval_rows_chunked(rows, matrices, 0, workers)
+    amps = _encode_rows(rows)
+    y = np.stack([np.einsum("md,md->m", amps @ h, amps) for h in _observables(circuits)])
     s_out = rows.shape[0] // (b * c * t)
     fmap = y.reshape(len(circuits), b, c, t, s_out).mean(axis=2)
     fmap = np.repeat(fmap, cfg.stride, axis=-1)[..., :s]
@@ -244,14 +193,12 @@ def quantum_input_grad(
     cfg: QuantumLayerConfig,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Input gradient of quantum_forward via the parameter-shift rule.
+    """Input gradient of quantum_forward in closed form.
 
     `rows` must be the scaled window matrix saved from the forward pass.
     """
-    workers = get_workers() if workers is None else max(1, int(workers))
     b, c, t, s = x_shape
     k = len(circuits)
-    nq = cfg.n_qubits
     s_out = rows.shape[0] // (b * c * t)
     padded = s_out * cfg.stride
 
@@ -262,17 +209,16 @@ def quantum_input_grad(
     coef = np.repeat(per_window[:, None] / c, c, axis=1)  # [B, C, K, T, S']
     coef_flat = coef.transpose(2, 0, 1, 3, 4).reshape(k, rows.shape[0])
 
-    matrices = [_circuit_matrix(circ) for circ in circuits]
-    grad_rows = np.zeros_like(rows)
-    half_pi = 0.5 * np.pi
-    for j in range(nq):
+    amps = _encode_rows(rows)
+    # upstream-weighted sum of every circuit's a H_k, so each qubit costs one dot product
+    weighted = np.zeros_like(amps)
+    for coef_k, h in zip(coef_flat, _observables(circuits)):
+        weighted += coef_k[:, None] * (amps @ h)
+    grad_rows = np.empty_like(rows)
+    for j in range(rows.shape[1]):
         shifted = rows.copy()
-        shifted[:, j] += half_pi
-        plus = _eval_rows_chunked(shifted, matrices, 0, workers)
-        shifted[:, j] -= np.pi
-        minus = _eval_rows_chunked(shifted, matrices, 0, workers)
-        dy = 0.5 * (plus - minus)  # [K, M]
-        grad_rows[:, j] = (coef_flat * dy).sum(axis=0)
+        shifted[:, j] += np.pi
+        grad_rows[:, j] = np.einsum("md,md->m", weighted, _encode_rows(shifted))
     grad_rows *= cfg.input_scale
 
     grad_pad = grad_rows.reshape(b, c, t, padded)

@@ -123,9 +123,8 @@ class RandomCircuit:
         for layer in range(depth):
             for qubit in range(n_qubits):
                 angles[layer, qubit] = _circuit_angle(seed, index, layer, qubit)
-        layout = tuple(tuple((q, q + 1) for q in range(n_qubits - 1)) for _ in range(depth))
         return cls(index=index, depth=depth, n_qubits=n_qubits, seed=seed,
-                   angles=angles, entangler_layout=layout)
+                   angles=angles, entangler_layout=cls.chain_layout(depth, n_qubits))
 
     @classmethod
     def chain_layout(cls, depth: int, n_qubits: int) -> tuple:
@@ -137,11 +136,8 @@ class Observable:
     """Single-qubit Pauli-Z measurement: +1 on bit 0, -1 on bit 1."""
 
     target_qubit: int = 0
-    kind: str = "pauli_z"
 
     def __post_init__(self):
-        if self.kind != "pauli_z":
-            raise ValueError(f"unsupported observable kind {self.kind!r}")
         if self.target_qubit < 0:
             raise IndexError(f"target qubit {self.target_qubit} is negative")
 

@@ -158,11 +158,18 @@ class Checkpoint:
     config: dict
     entries: dict
 
+    def require(self, key: str):
+        """The config value under `key`; a checkpoint without it is malformed."""
+        if key not in self.config:
+            raise CheckpointError(f"checkpoint config has no {key!r} entry")
+        return self.config[key]
+
     def require_arch(self, arch: dict) -> None:
-        if self.config.get("arch") != arch:
+        stored = self.require("arch")
+        if stored != arch:
             raise CheckpointError(
                 "checkpoint architecture does not match the requested model: "
-                f"stored {json.dumps(self.config.get('arch'), sort_keys=True)[:200]} ..."
+                f"stored {json.dumps(stored, sort_keys=True)[:200]} ..."
             )
 
 
@@ -262,12 +269,22 @@ def load_checkpoint(path) -> Checkpoint:
     if version != _QCKP_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (blob_len,) = struct.unpack("<I", take(4, "config length"))
-    config = json.loads(bytes(take(blob_len, "config blob")).decode("utf-8"))
+    blob = bytes(take(blob_len, "config blob"))
+    try:
+        config = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt config blob: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config blob is not a JSON object")
     (n_entries,) = struct.unpack("<I", take(4, "entry count"))
     entries = {}
     for i in range(n_entries):
         (name_len,) = struct.unpack("<H", take(2, f"entry {i} name length"))
-        name = bytes(take(name_len, f"entry {i} name")).decode("utf-8")
+        raw_name = bytes(take(name_len, f"entry {i} name"))
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: entry {i} name is not UTF-8: {exc}") from exc
         (rank,) = struct.unpack("<B", take(1, f"{name}: rank"))
         dims = [struct.unpack("<Q", take(8, f"{name}: dim {d}"))[0] for d in range(rank)]
         (tag,) = struct.unpack("<B", take(1, f"{name}: dtype tag"))

@@ -1,12 +1,13 @@
 """Command-line interface tests: exit codes, reproducibility, config echo."""
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcseis import cli, qsim, seisdata
+from qcseis import cli, qsim, seisdata, trainer
 from qcseis.selftest import run_selftest
 
 
@@ -131,6 +132,21 @@ class TestTrainCommand:
         assert code == cli.EXIT_MISMATCH
 
 
+def replace_blob(raw: bytes, edit) -> bytes:
+    """A QCKP file with its config blob (after magic, version, length) replaced by edit(blob)."""
+    (n,) = struct.unpack_from("<I", raw, 8)
+    blob = edit(raw[12:12 + n])
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:]
+
+
+def drop_key(key):
+    def edit(blob):
+        config = json.loads(blob)
+        del config[key]
+        return json.dumps(config).encode()
+    return edit
+
+
 @pytest.fixture(scope="module")
 def trained(small_dataset, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("trained")
@@ -167,6 +183,41 @@ class TestEvalCommand:
                          "--height", "32", "--width", "32", "--seed", "1"]) == 0
         capsys.readouterr()
         code = run_cli(["eval", "--checkpoint", str(trained), "--data", str(other),
+                        "--report", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_MISMATCH
+
+
+    def test_flipped_config_bytes_are_checkpoint_errors(self, trained, small_dataset, tmp_path):
+        raw = trained.read_bytes()
+        (n,) = struct.unpack_from("<I", raw, 8)
+        path = tmp_path / "flipped.qckp"
+        for i in range(12, 12 + n):
+            # header and blob only: a blob that decoded would fail as truncated instead
+            bad = bytearray(raw[:12 + n])
+            bad[i] ^= 0xFF
+            path.write_bytes(bytes(bad))
+            with pytest.raises(trainer.CheckpointError, match="config blob"):
+                trainer.load_checkpoint(path)
+        name_at = 12 + n + 4 + 2  # entry count, then the first entry's name length
+        bad = bytearray(raw)
+        bad[name_at] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        with pytest.raises(trainer.CheckpointError, match="name is not UTF-8"):
+            trainer.load_checkpoint(path)
+        bad = bytearray(raw)
+        bad[12] ^= 0xFF
+        path.write_bytes(bytes(bad))
+        code = run_cli(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
+                        "--report", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_MISMATCH
+
+    @pytest.mark.parametrize("edit", [lambda blob: b"{" + blob, lambda blob: b"[]",
+                                      drop_key("arch"), drop_key("task")],
+                             ids=["not_json", "not_object", "no_arch", "no_task"])
+    def test_malformed_config_exit_code(self, trained, small_dataset, tmp_path, edit):
+        path = tmp_path / "malformed.qckp"
+        path.write_bytes(replace_blob(trained.read_bytes(), edit))
+        code = run_cli(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
                         "--report", str(tmp_path / "r.csv")])
         assert code == cli.EXIT_MISMATCH
 

@@ -4,8 +4,10 @@ import pytest
 
 from qcseis import autograd as ag
 from qcseis import qlayer, qsim
+from qcseis.models import QuantumConv
 from qcseis.qlayer import QuantumLayerConfig
 from qcseis.qsim import Observable
+from qcseis.trainer import Checkpoint, load_model_state
 
 
 def scalar_loop_forward(x, circuits, cfg):
@@ -19,6 +21,25 @@ def scalar_loop_forward(x, circuits, cfg):
     b, c, t, s = x.shape
     fmap = values.reshape(len(circuits), b, c, t, -1).mean(axis=2)
     return np.repeat(fmap, cfg.stride, axis=-1)[..., :s].transpose(1, 0, 2, 3)
+
+
+def scalar_input_grad(upstream, x, circuits, cfg):
+    """Input gradient of sum(upstream * forward) by parameter shift through qsim."""
+    obs = Observable(0)
+    b, c, t, s = x.shape
+    rows = qlayer.unfold(x, cfg) * cfg.input_scale
+    # unfolding the flat indices gives each window entry's position in x;
+    # padded entries repeat the last trace, so their gradients fold onto it
+    index = qlayer.unfold(np.arange(x.size, dtype=np.float64).reshape(x.shape), cfg).astype(np.int64)
+    n_windows = rows.shape[0] // (b * c * t)
+    grad = np.zeros(x.size)
+    for r, row in enumerate(rows):
+        bi, _, ti, wi = np.unravel_index(r, (b, c, t, n_windows))
+        coef = upstream[bi, :, ti, wi * cfg.stride:(wi + 1) * cfg.stride].sum(axis=-1)
+        for k, circuit in enumerate(circuits):
+            shift = qsim.grad_expect_wrt_encoding(row, circuit, obs)
+            np.add.at(grad, index[r], coef[k] * shift * cfg.input_scale / c)
+    return grad.reshape(x.shape)
 
 
 class TestConfig:
@@ -100,6 +121,21 @@ class TestQuantumForward:
         base = qlayer.quantum_forward(x, circuits, cfg, workers=1)
         assert np.array_equal(base, qlayer.quantum_forward(x, circuits, cfg, workers=workers))
 
+    def test_output_follows_replaced_angle_buffers(self):
+        # load_model_state swaps in new angle arrays while the layer keeps its
+        # seed, so a cache keyed by circuit object or seed would go stale
+        cfg = QuantumLayerConfig(seed=8)
+        layer = QuantumConv(cfg)
+        donor = QuantumConv(QuantumLayerConfig(seed=9))
+        x = np.random.default_rng(4).normal(size=(1, 2, 2, 8))
+        before = layer(ag.Tensor(x, dtype=np.float64)).data
+        entries = {f"q.{name}": p.tensor.data for name, p in donor.named_parameters()}
+        load_model_state(layer, Checkpoint(version=1, config={}, entries=entries), "q")
+        after = layer(ag.Tensor(x, dtype=np.float64)).data
+        want = scalar_loop_forward(x, donor.circuits(), cfg)
+        assert np.max(np.abs(after - want)) < 1e-6
+        assert np.max(np.abs(before - want)) > 1e-3
+
     def test_qubit_mismatch(self):
         cfg = QuantumLayerConfig(n_qubits=4)
         bad = [qsim.RandomCircuit.generate(0, i, 2, 3) for i in range(4)]
@@ -151,6 +187,21 @@ class TestQuantumBackward:
             fm = float((qlayer.quantum_forward(xm, circuits, cfg) * w).sum())
             fd[idx] = (fp - fm) / (2 * h)
         assert np.max(np.abs(x.grad - fd)) < 1e-4
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 5])
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_other_qubit_counts_match_qsim(self, n_qubits, depth):
+        cfg = QuantumLayerConfig(n_qubits=n_qubits, n_circuits=3, depth=depth, seed=21, input_scale=0.7)
+        circuits = cfg.make_circuits()
+        rng = np.random.default_rng(10 * n_qubits + depth)
+        # 7 traces: the last window of 2, 3 and 5 qubits is replicate-padded
+        x = rng.normal(size=(2, 2, 2, 7))
+        upstream = rng.normal(size=(2, cfg.n_circuits, 2, 7))
+        forward = qlayer.quantum_forward(x, circuits, cfg)
+        assert np.max(np.abs(forward - scalar_loop_forward(x, circuits, cfg))) < 1e-6
+        rows = qlayer.unfold(x, cfg) * cfg.input_scale
+        grad = qlayer.quantum_input_grad(upstream, x.shape, rows, circuits, cfg)
+        assert np.max(np.abs(grad - scalar_input_grad(upstream, x, circuits, cfg))) < 1e-6
 
     def test_backward_worker_bit_identity(self):
         cfg = QuantumLayerConfig(seed=4)
