@@ -288,14 +288,14 @@ def _restore_eval_model(ckpt: trainer.Checkpoint, task: str):
         raise trainer.CheckpointError(
             f"checkpoint was trained on task {ckpt.config['task']!r} but dataset is {task!r}")
     arch = ckpt.require("arch")
-    if "generator" in arch:
-        model = mdl.build_model(arch["generator"])
-        trainer.load_model_state(model, ckpt, "generator")
-    elif "model" in arch:
-        model = mdl.build_model(arch["model"])
-        trainer.load_model_state(model, ckpt, "model")
-    else:
+    if not isinstance(arch, dict) or not {"generator", "model"} & arch.keys():
         raise trainer.CheckpointError("checkpoint has no restorable model entry")
+    role = "generator" if "generator" in arch else "model"
+    try:
+        model = mdl.build_model(arch[role])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise trainer.CheckpointError(f"checkpoint architecture for {role!r} is malformed: {exc!r}") from exc
+    trainer.load_model_state(model, ckpt, role)
     model.eval()
     return model
 

@@ -53,8 +53,8 @@ def get_workers() -> int:
 class QuantumLayerConfig:
     """Shape and circuit parameters of one quantum feature layer.
 
-    The unfolding window and stride are tied to the qubit count, so each
-    window feeds exactly one register.
+    The trace axis is cut into non-overlapping windows of `n_qubits`
+    samples, so each window feeds exactly one register.
     """
 
     n_qubits: int = 4
@@ -62,8 +62,6 @@ class QuantumLayerConfig:
     depth: int = 2
     seed: int = 0
     input_scale: float = 1.0
-    window: int | None = None
-    stride: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -74,10 +72,11 @@ class QuantumLayerConfig:
             raise ValueError("depth must be >= 0")
         if not np.isfinite(self.input_scale):
             raise ValueError("input_scale must be finite")
-        object.__setattr__(self, "window", self.n_qubits if self.window is None else self.window)
-        object.__setattr__(self, "stride", self.n_qubits if self.stride is None else self.stride)
-        if self.window != self.n_qubits or self.stride != self.n_qubits:
-            raise ValueError("window and stride must equal n_qubits")
+
+    @property
+    def stride(self) -> int:
+        """Step between consecutive windows on the trace axis: `n_qubits`."""
+        return self.n_qubits
 
     def make_circuits(self) -> list[RandomCircuit]:
         return [RandomCircuit.generate(self.seed, i, self.depth, self.n_qubits)
@@ -92,20 +91,20 @@ def unfold(x, cfg: QuantumLayerConfig) -> np.ndarray:
     """Window the trace axis of [B, C, T, S] into rows of n_qubits samples.
 
     Rows are ordered lexicographically in (b, c, t, window); when S is not
-    a multiple of the stride the trace axis is replicate-padded on the
+    a multiple of n_qubits the trace axis is replicate-padded on the
     right to the next multiple.
     """
     arr = _as_array(x)
     if arr.ndim != 4:
         raise ag.ShapeError(f"unfold expects a 4-d input, got shape {arr.shape}")
     b, c, t, s = arr.shape
-    k = cfg.window
+    k = cfg.n_qubits
     if s < k:
         raise ag.ShapeError(f"trace axis ({s}) is shorter than the window ({k})")
-    pad = (-s) % cfg.stride
+    pad = (-s) % k
     if pad:
         arr = np.pad(arr, ((0, 0), (0, 0), (0, 0), (0, pad)), mode="edge")
-    s_out = arr.shape[3] // cfg.stride
+    s_out = arr.shape[3] // k
     return arr.reshape(b * c * t * s_out, k)
 
 

@@ -1,16 +1,22 @@
-"""Adam optimization, adversarial/supervised training loops, checkpoints.
+"""Adam optimization, the shared training loop, checkpoints.
 
+`train_gan` (adversarial) and `train_unet` (supervised) each define one
+training step and hand it to `_fit`, the epoch loop both families share:
+resume, data order, history, validation and checkpoints live there once.
 Training is deterministic for a fixed seed and worker count: data order
 comes from a dedicated generator whose state rides along in checkpoints,
 so a resumed run continues bit-identically. Checkpoints use the QCKP
-container described in `save_checkpoint`.
+container described in `save_checkpoint`; they and `history.csv` are
+written to a temporary file that then replaces the target.
 """
 from __future__ import annotations
 
 import csv
 import json
 import logging
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -173,6 +179,20 @@ class Checkpoint:
             )
 
 
+@contextmanager
+def _replacing(path, mode: str):
+    """A temporary file beside `path` that replaces it if the block succeeds, else is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _iter_state_entries(role: str, model: mdl.Module):
     for name, p in model.named_parameters():
         yield f"{role}.{name}", np.asarray(p.tensor.data)
@@ -194,7 +214,8 @@ def save_checkpoint(path, task: str, model_map: dict, optimizer_map: dict,
     u32 + bytes, entry count u32, then per entry: name length u16 + UTF-8
     name, rank u8, dims u64 x rank, dtype tag u8 (0 = f32, 1 = f64), raw
     data. The config JSON carries the architecture blob, training config,
-    circuit layouts, and runtime state (epoch, RNG, history).
+    circuit layouts, and runtime state (epoch, RNG, history). An
+    existing file at `path` is replaced only once the new one is complete.
     """
     arch = {role: m.arch_config() for role, m in model_map.items()}
     layouts = {role: _collect_layouts(m) for role, m in model_map.items()}
@@ -214,7 +235,7 @@ def save_checkpoint(path, task: str, model_map: dict, optimizer_map: dict,
     for role, opt in optimizer_map.items():
         entries.extend(_optimizer_entries(role, opt))
 
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(_QCKP_MAGIC)
         fh.write(struct.pack("<I", _QCKP_VERSION))
         fh.write(struct.pack("<I", len(blob)))
@@ -311,17 +332,22 @@ def load_model_state(model: mdl.Module, ckpt: Checkpoint, role: str) -> None:
         p.tensor.data = arr.astype(p.tensor.data.dtype, copy=True)
 
 
+def _count_entry(ckpt: Checkpoint, key: str) -> int:
+    arr = ckpt.entries.get(key)
+    if arr is None or arr.size != 1 or not np.isfinite(arr).all() or arr.reshape(()) < 0:
+        raise CheckpointError(f"checkpoint entry {key!r} is missing or not a count")
+    return int(arr.reshape(())[()])
+
+
 def _load_adam_state(opt: Adam, ckpt: Checkpoint, role: str) -> None:
-    opt.step_count = int(ckpt.entries[f"adam.{role}.step"].reshape(())[()])
-    opt.skipped = int(ckpt.entries[f"adam.{role}.skipped"].reshape(())[()])
+    opt.step_count = _count_entry(ckpt, f"adam.{role}.step")
+    opt.skipped = _count_entry(ckpt, f"adam.{role}.skipped")
     for i, p in enumerate(opt.params):
         for buf, kind in ((opt.m, "m"), (opt.v, "v")):
             key = f"adam.{role}.{kind}.{p.name}"
-            if key not in ckpt.entries:
-                raise CheckpointError(f"checkpoint is missing entry {key!r}")
-            arr = ckpt.entries[key]
-            if arr.shape != buf[i].shape:
-                raise CheckpointError(f"entry {key!r} shape mismatch")
+            arr = ckpt.entries.get(key)
+            if arr is None or arr.shape != buf[i].shape:
+                raise CheckpointError(f"checkpoint entry {key!r} is missing or misshapen")
             buf[i] = arr.astype(buf[i].dtype, copy=True)
 
 
@@ -329,18 +355,25 @@ def _load_adam_state(opt: Adam, ckpt: Checkpoint, role: str) -> None:
 # training loops
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
-
-
-def _restore_rng(state: dict) -> np.random.Generator:
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
+def _load_runtime(ckpt: Checkpoint):
+    """(data-order RNG, history rows, next epoch, best val MAE) saved in a checkpoint."""
+    run = ckpt.require("runtime")
+    try:
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = run["rng_state"]
+        history = [tuple(r) for r in run["history"]]
+        epoch = run["epoch"]
+        best = run["best_val_mae"]
+        best_val = float("inf") if best is None else float(best)
+        if type(epoch) is not int or epoch < 0 or any(len(r) != len(HISTORY_COLUMNS) for r in history):
+            raise ValueError("bad epoch or history row")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint runtime entry is malformed: {exc!r}") from exc
+    return rng, history, epoch, best_val
 
 
 def _write_history(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
         for row in rows:
@@ -394,6 +427,76 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val_set: SeismicDataset,
+         cfg: TrainConfig, out_dir, resume: Checkpoint | None, step_hook) -> list:
+    """The epoch loop both families share; returns the history rows.
+
+    `models` and `opts` map checkpoint roles to modules and their Adam
+    objects; the first model is validated. `step_fn(x, target)` trains on
+    one batch and returns the prediction array, its losses by history
+    column and the losses the divergence guard watches: plain values, so
+    the step's graph is freed when it returns. Per epoch: validation,
+    history CSV rewrite, cadenced "last" and best-validation checkpoints.
+    """
+    if len(train_set) == 0:
+        raise ValueError("training split is empty")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    order_rng = np.random.default_rng([cfg.seed, 101])
+    history: list = []
+    start_epoch = 0
+    best_val = float("inf")
+    if resume is not None:
+        resume.require_arch({role: m.arch_config() for role, m in models.items()})
+        for role, m in models.items():
+            load_model_state(m, resume, role)
+        for role, opt in opts.items():
+            _load_adam_state(opt, resume, role)
+        order_rng, history, start_epoch, best_val = _load_runtime(resume)
+
+    guard = _DivergenceGuard()
+    step = 0
+
+    def checkpoint(path):
+        runtime = {
+            "epoch": epoch + 1,
+            "rng_state": order_rng.bit_generator.state,
+            "history": [list(r) for r in history],
+            "best_val_mae": None if best_val == float("inf") else best_val,
+        }
+        save_checkpoint(path, task, models, opts, cfg, runtime)
+
+    for epoch in range(start_epoch, cfg.epochs):
+        for m in models.values():
+            m.train()
+        order = order_rng.permutation(len(train_set))
+        agg = {"mae": [], "rmse": []}
+        for idx in _batches(order, cfg.batch_size):
+            x = _as_batch(train_set.degraded, idx)
+            target = _as_batch(train_set.targets, idx)
+            pred, losses, watched = step_fn(x, target)
+            guard.observe(*watched)
+            agg["mae"].append(mae(target.data, pred))
+            agg["rmse"].append(rmse(target.data, pred))
+            for column, value in losses.items():
+                agg.setdefault(column, []).append(value)
+            step += 1
+            if step_hook is not None:
+                step_hook(step, models)
+
+        history.append((epoch + 1, "train") + tuple(
+            _fmt(np.mean(agg[c])) if c in agg else "" for c in HISTORY_COLUMNS[2:]))
+        val_mae, val_rmse = _validate(next(iter(models.values())), val_set, cfg.batch_size)
+        history.append((epoch + 1, "val", _fmt(val_mae), _fmt(val_rmse), "", "", ""))
+        _write_history(out_dir / "history.csv", history)
+        if val_mae < best_val:
+            best_val = val_mae
+            checkpoint(out_dir / "best.qckp")
+        if (epoch + 1) % cfg.checkpoint_every == 0 or epoch + 1 == cfg.epochs:
+            checkpoint(out_dir / "last.qckp")
+    return history
+
+
 def train_gan(
     gen: mdl.Generator,
     disc: mdl.Discriminator,
@@ -408,104 +511,45 @@ def train_gan(
 
     Per batch: one discriminator step on the negated two-sided objective,
     then one generator step on the adversarial + reconstruction (+ weighted
-    complementarity) objective. Per epoch: validation MAE/RMSE, history CSV
-    rewrite, cadenced "last" and best-validation checkpoints.
+    complementarity) objective.
     """
     if train_set.task not in ("interpolation_random", "interpolation_regular", "denoise"):
         raise ValueError(f"adversarial training expects a restoration task, got {train_set.task!r}")
-    if len(train_set) == 0:
-        raise ValueError("training split is empty")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lr = cfg.lr if cfg.lr is not None else 1e-5
     opt_g = Adam(gen.trainable_parameters(), lr)
     opt_d = Adam(disc.trainable_parameters(), lr)
-    order_rng = np.random.default_rng([cfg.seed, 101])
-    history: list = []
-    start_epoch = 0
-    best_val = float("inf")
-    if resume is not None:
-        resume.require_arch({"generator": gen.arch_config(), "discriminator": disc.arch_config()})
-        load_model_state(gen, resume, "generator")
-        load_model_state(disc, resume, "discriminator")
-        _load_adam_state(opt_g, resume, "generator")
-        _load_adam_state(opt_d, resume, "discriminator")
-        run = resume.config["runtime"]
-        order_rng = _restore_rng(run["rng_state"])
-        history = [tuple(r) for r in run["history"]]
-        start_epoch = int(run["epoch"])
-        best_val = float(run["best_val_mae"]) if run["best_val_mae"] is not None else float("inf")
-
-    guard = _DivergenceGuard()
     lam_com = cfg.weights.complementarity
-    step = 0
 
-    def checkpoint(path):
-        runtime = {
-            "epoch": epoch + 1,
-            "rng_state": _rng_state(order_rng),
-            "history": [list(r) for r in history],
-            "best_val_mae": None if best_val == float("inf") else best_val,
-        }
-        save_checkpoint(path, train_set.task, {"generator": gen, "discriminator": disc},
-                        {"generator": opt_g, "discriminator": opt_d}, cfg, runtime)
+    def step(x, target):
+        pred = gen(x)
+        gen_pairs = gen.complementarity_pairs
 
-    for epoch in range(start_epoch, cfg.epochs):
-        gen.train()
-        disc.train()
-        order = order_rng.permutation(len(train_set))
-        agg = {"mae": [], "rmse": [], "loss_g": [], "loss_d": [], "loss_com": []}
-        for idx in _batches(order, cfg.batch_size):
-            x = _as_batch(train_set.degraded, idx)
-            target = _as_batch(train_set.targets, idx)
+        d_real = disc(target)
+        disc_pairs = disc.complementarity_pairs
+        d_fake = disc(pred.detach())
+        l_d = loss_discriminator(d_real, d_fake)
+        if cfg.com_in_discriminator and lam_com > 0 and disc_pairs:
+            l_d = ag.add(l_d, ag.scale(loss_complementarity(disc_pairs), lam_com))
+        disc.zero_grad()
+        ag.backward(l_d)
+        clip_global_norm(disc.trainable_parameters(), cfg.grad_clip)
+        opt_d.step()
 
-            pred = gen(x)
-            gen_pairs = gen.complementarity_pairs
+        d_score = disc(pred)
+        l_com = loss_complementarity(gen_pairs)
+        l_g = loss_generator(pred, target, d_score, cfg.weights)
+        total = ag.add(l_g, ag.scale(l_com, lam_com)) if lam_com > 0 else l_g
+        gen.zero_grad()
+        disc.zero_grad()
+        ag.backward(total)
+        clip_global_norm(gen.trainable_parameters(), cfg.grad_clip)
+        opt_g.step()
+        losses = {"loss_g": l_g.item(), "loss_d": l_d.item(), "loss_com": l_com.item()}
+        return pred.data, losses, (losses["loss_d"], total.item())
 
-            d_real = disc(target)
-            disc_pairs = disc.complementarity_pairs
-            d_fake = disc(pred.detach())
-            l_d = loss_discriminator(d_real, d_fake)
-            if cfg.com_in_discriminator and lam_com > 0 and disc_pairs:
-                l_d = ag.add(l_d, ag.scale(loss_complementarity(disc_pairs), lam_com))
-            disc.zero_grad()
-            ag.backward(l_d)
-            clip_global_norm(disc.trainable_parameters(), cfg.grad_clip)
-            opt_d.step()
-
-            d_score = disc(pred)
-            l_com = loss_complementarity(gen_pairs)
-            l_g = loss_generator(pred, target, d_score, cfg.weights)
-            total = ag.add(l_g, ag.scale(l_com, lam_com)) if lam_com > 0 else l_g
-            gen.zero_grad()
-            disc.zero_grad()
-            ag.backward(total)
-            clip_global_norm(gen.trainable_parameters(), cfg.grad_clip)
-            opt_g.step()
-
-            guard.observe(l_d.item(), total.item())
-            agg["mae"].append(mae(target.data, pred.data))
-            agg["rmse"].append(rmse(target.data, pred.data))
-            agg["loss_g"].append(l_g.item())
-            agg["loss_d"].append(l_d.item())
-            agg["loss_com"].append(l_com.item())
-            step += 1
-            if step_hook is not None:
-                step_hook(step, {"generator": gen, "discriminator": disc})
-
-        history.append((
-            epoch + 1, "train", _fmt(np.mean(agg["mae"])), _fmt(np.mean(agg["rmse"])),
-            _fmt(np.mean(agg["loss_g"])), _fmt(np.mean(agg["loss_d"])), _fmt(np.mean(agg["loss_com"])),
-        ))
-        val_mae, val_rmse = _validate(gen, val_set, cfg.batch_size)
-        history.append((epoch + 1, "val", _fmt(val_mae), _fmt(val_rmse), "", "", ""))
-        _write_history(out_dir / "history.csv", history)
-        if val_mae < best_val:
-            best_val = val_mae
-            checkpoint(out_dir / "best.qckp")
-        if (epoch + 1) % cfg.checkpoint_every == 0 or epoch + 1 == cfg.epochs:
-            checkpoint(out_dir / "last.qckp")
-    return history
+    return _fit(train_set.task, {"generator": gen, "discriminator": disc},
+                {"generator": opt_g, "discriminator": opt_d}, step,
+                train_set, val_set, cfg, out_dir, resume, step_hook)
 
 
 def train_unet(
@@ -520,72 +564,20 @@ def train_unet(
     """Supervised L1 training (+ weighted complementarity on the bottleneck pair)."""
     if train_set.task != "lfe":
         raise ValueError(f"unet training expects the lfe task, got {train_set.task!r}")
-    if len(train_set) == 0:
-        raise ValueError("training split is empty")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lr = cfg.lr if cfg.lr is not None else 1e-4
     opt = Adam(model.trainable_parameters(), lr)
-    order_rng = np.random.default_rng([cfg.seed, 101])
-    history: list = []
-    start_epoch = 0
-    best_val = float("inf")
-    if resume is not None:
-        resume.require_arch({"model": model.arch_config()})
-        load_model_state(model, resume, "model")
-        _load_adam_state(opt, resume, "model")
-        run = resume.config["runtime"]
-        order_rng = _restore_rng(run["rng_state"])
-        history = [tuple(r) for r in run["history"]]
-        start_epoch = int(run["epoch"])
-        best_val = float(run["best_val_mae"]) if run["best_val_mae"] is not None else float("inf")
-
-    guard = _DivergenceGuard()
     lam_com = cfg.weights.complementarity
-    step = 0
 
-    def checkpoint(path):
-        runtime = {
-            "epoch": epoch + 1,
-            "rng_state": _rng_state(order_rng),
-            "history": [list(r) for r in history],
-            "best_val_mae": None if best_val == float("inf") else best_val,
-        }
-        save_checkpoint(path, train_set.task, {"model": model}, {"model": opt}, cfg, runtime)
+    def step(x, target):
+        pred = model(x)
+        l1 = ag.tmean(ag.absval(ag.sub(pred, target)))
+        l_com = loss_complementarity(model.complementarity_pairs)
+        total = ag.add(l1, ag.scale(l_com, lam_com)) if lam_com > 0 else l1
+        model.zero_grad()
+        ag.backward(total)
+        clip_global_norm(model.trainable_parameters(), cfg.grad_clip)
+        opt.step()
+        return pred.data, {"loss_g": total.item(), "loss_com": l_com.item()}, (total.item(),)
 
-    for epoch in range(start_epoch, cfg.epochs):
-        model.train()
-        order = order_rng.permutation(len(train_set))
-        agg = {"mae": [], "rmse": [], "loss_g": [], "loss_com": []}
-        for idx in _batches(order, cfg.batch_size):
-            x = _as_batch(train_set.degraded, idx)
-            target = _as_batch(train_set.targets, idx)
-            pred = model(x)
-            l1 = ag.tmean(ag.absval(ag.sub(pred, target)))
-            l_com = loss_complementarity(model.complementarity_pairs)
-            total = ag.add(l1, ag.scale(l_com, lam_com)) if lam_com > 0 else l1
-            model.zero_grad()
-            ag.backward(total)
-            clip_global_norm(model.trainable_parameters(), cfg.grad_clip)
-            opt.step()
-            guard.observe(total.item())
-            agg["mae"].append(mae(target.data, pred.data))
-            agg["rmse"].append(rmse(target.data, pred.data))
-            agg["loss_g"].append(total.item())
-            agg["loss_com"].append(l_com.item())
-            step += 1
-            if step_hook is not None:
-                step_hook(step, {"model": model})
-        history.append((
-            epoch + 1, "train", _fmt(np.mean(agg["mae"])), _fmt(np.mean(agg["rmse"])),
-            _fmt(np.mean(agg["loss_g"])), "", _fmt(np.mean(agg["loss_com"])),
-        ))
-        val_mae, val_rmse = _validate(model, val_set, cfg.batch_size)
-        history.append((epoch + 1, "val", _fmt(val_mae), _fmt(val_rmse), "", "", ""))
-        _write_history(out_dir / "history.csv", history)
-        if val_mae < best_val:
-            best_val = val_mae
-            checkpoint(out_dir / "best.qckp")
-        if (epoch + 1) % cfg.checkpoint_every == 0 or epoch + 1 == cfg.epochs:
-            checkpoint(out_dir / "last.qckp")
-    return history
+    return _fit(train_set.task, {"model": model}, {"model": opt}, step,
+                train_set, val_set, cfg, out_dir, resume, step_hook)

@@ -147,6 +147,38 @@ def drop_key(key):
     return edit
 
 
+def set_config(path, value):
+    """A blob edit that sets the config entry at `path` (a key tuple), or deletes it for value None."""
+    def edit(blob):
+        config = json.loads(blob)
+        *parents, key = path
+        node = config
+        for parent in parents:
+            node = node[parent]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        return json.dumps(config).encode()
+    return edit
+
+
+def in_blob(edit):
+    return lambda raw: replace_blob(raw, edit)
+
+
+def rename_entry(name, new):
+    assert len(new) == len(name)
+    return lambda raw: raw.replace(name.encode(), new.encode(), 1)
+
+
+def nan_count(name):
+    def edit(raw):
+        at = raw.index(name.encode()) + len(name) + 2  # rank 0, then the f64 dtype tag
+        return raw[:at] + struct.pack("<d", float("nan")) + raw[at + 8:]
+    return edit
+
+
 @pytest.fixture(scope="module")
 def trained(small_dataset, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("trained")
@@ -212,13 +244,42 @@ class TestEvalCommand:
         assert code == cli.EXIT_MISMATCH
 
     @pytest.mark.parametrize("edit", [lambda blob: b"{" + blob, lambda blob: b"[]",
-                                      drop_key("arch"), drop_key("task")],
-                             ids=["not_json", "not_object", "no_arch", "no_task"])
+                                      drop_key("arch"), drop_key("task"),
+                                      set_config(("arch", "generator"), {"family": "generator"}),
+                                      set_config(("arch",), ["generator"])],
+                             ids=["not_json", "not_object", "no_arch", "no_task", "bad_arch",
+                                  "arch_not_object"])
     def test_malformed_config_exit_code(self, trained, small_dataset, tmp_path, edit):
         path = tmp_path / "malformed.qckp"
         path.write_bytes(replace_blob(trained.read_bytes(), edit))
         code = run_cli(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
                         "--report", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_MISMATCH
+
+
+class TestResumeErrors:
+    @pytest.mark.parametrize("edit", [
+        in_blob(drop_key("runtime")),
+        in_blob(set_config(("runtime",), [])),
+        in_blob(set_config(("runtime", "epoch"), None)),
+        in_blob(set_config(("runtime", "epoch"), "x")),
+        in_blob(set_config(("runtime", "rng_state"), None)),
+        in_blob(set_config(("runtime", "rng_state"), {"bit_generator": "MT19937"})),
+        in_blob(set_config(("runtime", "history"), 3)),
+        in_blob(set_config(("runtime", "history"), [["1", "train"]])),
+        in_blob(set_config(("runtime", "best_val_mae"), None)),
+        in_blob(set_config(("runtime", "best_val_mae"), "x")),
+        rename_entry("adam.generator.step", "adam.generator.stXp"),
+        nan_count("adam.discriminator.skipped"),
+    ], ids=["no_runtime", "runtime_not_object", "no_epoch", "epoch_not_int", "no_rng_state",
+            "foreign_rng_state", "history_not_list", "short_history_row", "no_best_val_mae",
+            "best_val_mae_not_number", "no_adam_step", "nan_adam_skipped"])
+    def test_malformed_resume_exit_code(self, trained, small_dataset, tmp_path, edit):
+        path = tmp_path / "malformed.qckp"
+        path.write_bytes(edit(trained.read_bytes()))
+        config = tmp_path / "resume.json"
+        config.write_text(json.dumps(train_config(small_dataset, tmp_path / "out", epochs=2)))
+        code = run_cli(["train", "--config", str(config), "--workers", "1", "--resume", str(path)])
         assert code == cli.EXIT_MISMATCH
 
 

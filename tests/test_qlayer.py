@@ -45,11 +45,7 @@ def scalar_input_grad(upstream, x, circuits, cfg):
 class TestConfig:
     def test_window_stride_tied_to_qubits(self):
         cfg = QuantumLayerConfig(n_qubits=4)
-        assert cfg.window == 4 and cfg.stride == 4
-
-    def test_mismatched_window_rejected(self):
-        with pytest.raises(ValueError):
-            QuantumLayerConfig(n_qubits=4, window=2)
+        assert cfg.stride == 4
 
 
 class TestUnfold:

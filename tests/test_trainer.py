@@ -1,5 +1,7 @@
-"""Trainer tests: Adam oracle, checkpoints, determinism, resume."""
+"""Trainer tests: Adam oracle, checkpoints, determinism, resume, graph lifetime."""
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -221,6 +223,19 @@ class TestCheckpoints:
         with pytest.raises(trainer.CheckpointError, match="truncated"):
             trainer.load_checkpoint(path)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        gen, disc = small_models(seed=9)
+        roles = {"generator": gen, "discriminator": disc}
+        path = tmp_path / "last.qckp"
+        trainer.save_checkpoint(path, "denoise", roles, {}, TrainConfig(), {"epoch": 1})
+        before = path.read_bytes()
+        # the last entry cannot be cast to <f8, so the save fails after writing the others
+        list(disc.named_parameters())[-1][1].tensor.data = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            trainer.save_checkpoint(path, "denoise", roles, {}, TrainConfig(), {"epoch": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["last.qckp"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.qckp"
         path.write_bytes(b"XXXX" + b"\0" * 32)
@@ -295,6 +310,44 @@ class TestResume:
         assert opt2.step_count == 3
         assert np.array_equal(opt2.m[0], opt.m[0])
         assert np.array_equal(opt2.v[0], opt.v[0])
+
+
+def surviving_loss_arrays(monkeypatch, train_fn) -> list:
+    """Per step: how many complementarity loss arrays are still alive at step_hook."""
+    refs, survivors = [], []
+    loss_complementarity = trainer.loss_complementarity
+
+    def tracked(pairs):
+        out = loss_complementarity(pairs)
+        refs.append(weakref.ref(out.data))  # Tensor has __slots__ and takes no weakref
+        return out
+
+    def hook(step, models):
+        gc.collect()
+        survivors.append(sum(ref() is not None for ref in refs))
+
+    monkeypatch.setattr(trainer, "loss_complementarity", tracked)
+    train_fn(hook)
+    assert refs
+    return survivors
+
+
+class TestGraphLifetime:
+    """A step's autograd graph is gone by the time the loop reaches step_hook."""
+
+    def test_gan_step_graph_freed(self, interp_data, tmp_path, monkeypatch):
+        gen, disc = small_models()
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-4, seed=1, checkpoint_every=1)
+        survivors = surviving_loss_arrays(monkeypatch, lambda hook: trainer.train_gan(
+            gen, disc, *interp_data, cfg, tmp_path, step_hook=hook))
+        assert survivors == [0] * len(survivors)
+
+    def test_unet_step_graph_freed(self, lfe_data, tmp_path, monkeypatch):
+        model = mdl.UNet(mdl.UNetConfig(base_channels=4, patch_height=32, patch_width=32), init_seed=2)
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=1, checkpoint_every=1)
+        survivors = surviving_loss_arrays(monkeypatch, lambda hook: trainer.train_unet(
+            model, *lfe_data, cfg, tmp_path, step_hook=hook))
+        assert survivors == [0] * len(survivors)
 
 
 class TestDivergenceGuard:
