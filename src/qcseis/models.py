@@ -82,6 +82,14 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    def release_pairs(self):
+        """Forget the complementarity pairs of the last forward, and the graph they reach."""
+        for key in ("pair", "_pairs"):
+            if key in vars(self):
+                object.__setattr__(self, key, None)
+        for child in self._modules.values():
+            child.release_pairs()
+
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
@@ -383,7 +391,7 @@ class Generator(Module):
     @property
     def complementarity_pairs(self):
         if self._pairs is None:
-            raise RuntimeError("complementarity pairs requested before any forward pass")
+            raise RuntimeError("complementarity pairs requested with no forward pass kept")
         return list(self._pairs)
 
     def arch_config(self) -> dict:
@@ -454,7 +462,7 @@ class Discriminator(Module):
     @property
     def complementarity_pairs(self):
         if self._pairs is None:
-            raise RuntimeError("complementarity pairs requested before any forward pass")
+            raise RuntimeError("complementarity pairs requested with no forward pass kept")
         return list(self._pairs)
 
     def arch_config(self) -> dict:
@@ -535,7 +543,7 @@ class UNet(Module):
     @property
     def complementarity_pairs(self):
         if self._pairs is None:
-            raise RuntimeError("complementarity pairs requested before any forward pass")
+            raise RuntimeError("complementarity pairs requested with no forward pass kept")
         return list(self._pairs)
 
     def arch_config(self) -> dict:

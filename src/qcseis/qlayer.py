@@ -9,11 +9,15 @@ Circuits are frozen and the encoding gives a real product state a(x), so
 each expectation is the exact quadratic form E_k(x) = a(x)^T H_k a(x) with
 H_k = M_k diag(z) M_k^T, where row r of M_k is basis state r evolved by
 circuit k (run through qsim, which holds the only gate kernels) and z is
-the Pauli-Z sign pattern of qubit 0. Since da/dx_j = a(x + pi e_j) / 2 and
-H_k is symmetric, dE_k/dx_j = (a H_k) . a(x + pi e_j), so the input
-gradient needs no parameter shifts. H_k is cached by circuit content.
-qsim remains the scalar single-state reference (including the
-parameter-shift rule) that this implementation is tested against.
+the Pauli-Z sign pattern of qubit 0. H_k is cached by circuit content, and
+the K matrices are stacked so a call multiplies them with the amplitudes,
+held amplitude-major as [2^n, windows], in one GEMM. Since
+da/dx_j = a(x + pi e_j) / 2 and H_k is symmetric,
+dE_k/dx_j = (H_k a) . a(x + pi e_j); for a product state a(x + pi e_j) is
+a(x) with the halves where qubit j is 0 and 1 swapped and the first
+negated, so the input gradient needs no parameter shifts and no
+re-encoding. qsim remains the scalar single-state reference (including
+the parameter-shift rule) that this implementation is tested against.
 """
 from __future__ import annotations
 
@@ -113,14 +117,15 @@ def unfold(x, cfg: QuantumLayerConfig) -> np.ndarray:
 
 
 def _encode_rows(rows: np.ndarray) -> np.ndarray:
-    """Product-state amplitudes for every row of encoding angles at once."""
-    m, nq = rows.shape
-    half = 0.5 * rows
+    """Product-state amplitudes [2^n, m] of every row of encoding angles; qubit q is bit q."""
+    half = 0.5 * np.ascontiguousarray(rows.T)  # row per qubit, so each write reads contiguously
     c, s = np.cos(half), np.sin(half)
-    amps = np.ones((m, 1))
-    for qubit in range(nq - 1, -1, -1):
-        cs = np.stack([c[:, qubit], s[:, qubit]], axis=1)
-        amps = (amps[:, :, None] * cs[:, None, :]).reshape(m, -1)
+    amps = np.ones((1, rows.shape[0]))
+    for qubit in range(rows.shape[1] - 1, -1, -1):
+        nxt = np.empty((2 * amps.shape[0], amps.shape[1]))
+        nxt[0::2] = amps * c[qubit]
+        nxt[1::2] = amps * s[qubit]
+        amps = nxt
     return amps
 
 
@@ -145,8 +150,10 @@ def _observable(n_qubits: int, angles_bytes: bytes, layout: tuple) -> np.ndarray
     return h
 
 
-def _observables(circuits) -> list[np.ndarray]:
-    return [_observable(c.n_qubits, c.angles.tobytes(), c.entangler_layout) for c in circuits]
+def _observables(circuits) -> np.ndarray:
+    """Every circuit's H stacked into one [K * 2^n, 2^n] matrix."""
+    return np.concatenate([_observable(c.n_qubits, c.angles.tobytes(), c.entangler_layout)
+                           for c in circuits])
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +184,8 @@ def quantum_forward(x, circuits, cfg: QuantumLayerConfig, workers: int | None = 
     b, c, t, s = arr.shape
     rows = unfold(arr, cfg) * cfg.input_scale
     amps = _encode_rows(rows)
-    y = np.stack([np.einsum("md,md->m", amps @ h, amps) for h in _observables(circuits)])
+    projected = (_observables(circuits) @ amps).reshape(len(circuits), *amps.shape)
+    y = np.einsum("kdm,dm->km", projected, amps)
     s_out = rows.shape[0] // (b * c * t)
     fmap = y.reshape(len(circuits), b, c, t, s_out).mean(axis=2)
     fmap = np.repeat(fmap, cfg.stride, axis=-1)[..., :s]
@@ -209,15 +217,16 @@ def quantum_input_grad(
     coef_flat = coef.transpose(2, 0, 1, 3, 4).reshape(k, rows.shape[0])
 
     amps = _encode_rows(rows)
-    # upstream-weighted sum of every circuit's a H_k, so each qubit costs one dot product
-    weighted = np.zeros_like(amps)
-    for coef_k, h in zip(coef_flat, _observables(circuits)):
-        weighted += coef_k[:, None] * (amps @ h)
+    dim, m = amps.shape
+    # upstream-weighted sum of every circuit's H_k a, one GEMM since each H_k is symmetric
+    weighted = _observables(circuits).T @ (coef_flat[:, None, :] * amps).reshape(k * dim, m)
+    # a(x + pi e_j) is a(x) with qubit j's halves swapped and the bit-0 half negated
     grad_rows = np.empty_like(rows)
     for j in range(rows.shape[1]):
-        shifted = rows.copy()
-        shifted[:, j] += np.pi
-        grad_rows[:, j] = np.einsum("md,md->m", weighted, _encode_rows(shifted))
+        a = amps.reshape(-1, 2, 2 ** j, m)
+        w = weighted.reshape(-1, 2, 2 ** j, m)
+        grad_rows[:, j] = (np.einsum("hlm,hlm->m", w[:, 1], a[:, 0])
+                           - np.einsum("hlm,hlm->m", w[:, 0], a[:, 1]))
     grad_rows *= cfg.input_scale
 
     grad_pad = grad_rows.reshape(b, c, t, padded)

@@ -4,12 +4,16 @@ Gathers are sums of hyperbolic reflection events convolved with Ricker
 wavelets. Three degradation families are provided: trace masking (random
 or regular), additive Gaussian noise, and a band-split that pairs a
 band-limited input with its low-frequency complement. Datasets persist in
-the little-endian SEIS container described in `save_seis`.
+the little-endian SEIS container described in `save_seis`, written through
+`replacing` (shared with the trainer's files) so a failed write never
+leaves a torn file behind.
 """
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -274,19 +278,33 @@ class SeismicDataset:
         return self.targets.shape[1:]
 
 
+@contextmanager
+def replacing(path, mode: str):
+    """A temporary file beside `path` that replaces it if the block succeeds, else is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_seis(path, dataset: SeismicDataset) -> None:
     """Write the SEIS container.
 
     Layout (little-endian): magic "SEIS", version u32, n_patches u64,
     T u32, S u32, dt f64, dx f64, task tag u8, then per patch the target
     [T*S f32], the degraded [T*S f32], and the keep mask [S u8], all in
-    row-major order.
+    row-major order. The file is written beside `path` and then replaces it.
     """
     n, t, s = dataset.targets.shape
     header = _HEADER.pack(
         _SEIS_MAGIC, _SEIS_VERSION, n, t, s, dataset.dt, dataset.dx, _TASK_TAGS[dataset.task]
     )
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(header)
         for i in range(n):
             fh.write(dataset.targets[i].astype("<f4").tobytes())

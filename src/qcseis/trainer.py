@@ -14,9 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import os
 import struct
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,7 +31,7 @@ from .objectives import (
     mae,
     rmse,
 )
-from .seisdata import SeismicDataset
+from .seisdata import SeismicDataset, replacing
 
 __all__ = [
     "Adam",
@@ -179,20 +177,6 @@ class Checkpoint:
             )
 
 
-@contextmanager
-def _replacing(path, mode: str):
-    """A temporary file beside `path` that replaces it if the block succeeds, else is removed."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _iter_state_entries(role: str, model: mdl.Module):
     for name, p in model.named_parameters():
         yield f"{role}.{name}", np.asarray(p.tensor.data)
@@ -235,7 +219,7 @@ def save_checkpoint(path, task: str, model_map: dict, optimizer_map: dict,
     for role, opt in optimizer_map.items():
         entries.extend(_optimizer_entries(role, opt))
 
-    with _replacing(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_QCKP_MAGIC)
         fh.write(struct.pack("<I", _QCKP_VERSION))
         fh.write(struct.pack("<I", len(blob)))
@@ -373,7 +357,7 @@ def _load_runtime(ckpt: Checkpoint):
 
 
 def _write_history(path, rows) -> None:
-    with _replacing(path, "w") as fh:
+    with replacing(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_COLUMNS)
         for row in rows:
@@ -539,6 +523,8 @@ def train_gan(
         l_com = loss_complementarity(gen_pairs)
         l_g = loss_generator(pred, target, d_score, cfg.weights)
         total = ag.add(l_g, ag.scale(l_com, lam_com)) if lam_com > 0 else l_g
+        gen.release_pairs()
+        disc.release_pairs()
         gen.zero_grad()
         disc.zero_grad()
         ag.backward(total)
@@ -573,6 +559,7 @@ def train_unet(
         l1 = ag.tmean(ag.absval(ag.sub(pred, target)))
         l_com = loss_complementarity(model.complementarity_pairs)
         total = ag.add(l1, ag.scale(l_com, lam_com)) if lam_com > 0 else l1
+        model.release_pairs()
         model.zero_grad()
         ag.backward(total)
         clip_global_norm(model.trainable_parameters(), cfg.grad_clip)

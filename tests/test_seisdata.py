@@ -213,6 +213,24 @@ class TestSeisFormat:
         assert np.array_equal(back.masks, ds.masks)
         assert back.dt == ds.dt and back.dx == ds.dx and back.task == ds.task
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ds = sd.SeismicDataset(
+            targets=rng.normal(size=(2, 8, 8)).astype(np.float32),
+            degraded=rng.normal(size=(2, 8, 8)).astype(np.float32),
+            masks=np.ones((2, 8), dtype=np.uint8),
+            dt=0.004, dx=25.0, task="denoise",
+        )
+        path = tmp_path / "x.seis"
+        sd.save_seis(path, ds)
+        before = path.read_bytes()
+        # the second patch cannot be cast to <f4, so the save fails after writing the first
+        ds.degraded = np.array([ds.degraded[0], np.full((8, 8), "not a number")], dtype=object)
+        with pytest.raises(ValueError):
+            sd.save_seis(path, ds)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.seis"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.seis"
         path.write_bytes(b"NOPE" + b"\0" * 64)

@@ -312,13 +312,13 @@ class TestResume:
         assert np.array_equal(opt2.v[0], opt.v[0])
 
 
-def surviving_loss_arrays(monkeypatch, train_fn) -> list:
-    """Per step: how many complementarity loss arrays are still alive at step_hook."""
+def surviving_arrays(monkeypatch, module, name, train_fn) -> list:
+    """Per step: how many outputs of `module.name` are still alive at step_hook."""
     refs, survivors = [], []
-    loss_complementarity = trainer.loss_complementarity
+    original = getattr(module, name)
 
-    def tracked(pairs):
-        out = loss_complementarity(pairs)
+    def tracked(*args, **kwargs):
+        out = original(*args, **kwargs)
         refs.append(weakref.ref(out.data))  # Tensor has __slots__ and takes no weakref
         return out
 
@@ -326,27 +326,48 @@ def surviving_loss_arrays(monkeypatch, train_fn) -> list:
         gc.collect()
         survivors.append(sum(ref() is not None for ref in refs))
 
-    monkeypatch.setattr(trainer, "loss_complementarity", tracked)
+    monkeypatch.setattr(module, name, tracked)
     train_fn(hook)
     assert refs
     return survivors
 
 
 class TestGraphLifetime:
-    """A step's autograd graph is gone by the time the loop reaches step_hook."""
+    """A step's autograd graph is gone by the time the loop reaches step_hook.
 
-    def test_gan_step_graph_freed(self, interp_data, tmp_path, monkeypatch):
+    The complementarity losses are reachable only from the step's graph;
+    the quantum outputs also from the (classical, quantum) pairs the
+    models keep, so those tests fail if a step leaves the pairs behind.
+    """
+
+    @staticmethod
+    def gan_run(interp_data, tmp_path):
         gen, disc = small_models()
         cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-4, seed=1, checkpoint_every=1)
-        survivors = surviving_loss_arrays(monkeypatch, lambda hook: trainer.train_gan(
-            gen, disc, *interp_data, cfg, tmp_path, step_hook=hook))
+        return lambda hook: trainer.train_gan(gen, disc, *interp_data, cfg, tmp_path, step_hook=hook)
+
+    @staticmethod
+    def unet_run(lfe_data, tmp_path):
+        model = mdl.UNet(mdl.UNetConfig(base_channels=4, patch_height=32, patch_width=32), init_seed=2)
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=1, checkpoint_every=1)
+        return lambda hook: trainer.train_unet(model, *lfe_data, cfg, tmp_path, step_hook=hook)
+
+    def test_gan_step_graph_freed(self, interp_data, tmp_path, monkeypatch):
+        survivors = surviving_arrays(monkeypatch, trainer, "loss_complementarity",
+                                     self.gan_run(interp_data, tmp_path))
         assert survivors == [0] * len(survivors)
 
     def test_unet_step_graph_freed(self, lfe_data, tmp_path, monkeypatch):
-        model = mdl.UNet(mdl.UNetConfig(base_channels=4, patch_height=32, patch_width=32), init_seed=2)
-        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=1, checkpoint_every=1)
-        survivors = surviving_loss_arrays(monkeypatch, lambda hook: trainer.train_unet(
-            model, *lfe_data, cfg, tmp_path, step_hook=hook))
+        survivors = surviving_arrays(monkeypatch, trainer, "loss_complementarity",
+                                     self.unet_run(lfe_data, tmp_path))
+        assert survivors == [0] * len(survivors)
+
+    def test_gan_pairs_released(self, interp_data, tmp_path, monkeypatch):
+        survivors = surviving_arrays(monkeypatch, mdl, "quantum_conv", self.gan_run(interp_data, tmp_path))
+        assert survivors == [0] * len(survivors)
+
+    def test_unet_pairs_released(self, lfe_data, tmp_path, monkeypatch):
+        survivors = surviving_arrays(monkeypatch, mdl, "quantum_conv", self.unet_run(lfe_data, tmp_path))
         assert survivors == [0] * len(survivors)
 
 
