@@ -7,7 +7,10 @@ broadcasting engine; shapes must line up the way each op defines them.
 Network tensors are float32 by default, but every kernel also runs in
 float64 (used by tests and at the quantum-layer boundary). Reductions go
 through numpy's fixed pairwise order, so results are bit-identical across
-runs and worker counts.
+runs and worker counts. Convolution is im2col plus GEMM (Chellapilla, Puri
+& Simard 2006); its im2col/col2im copies run in cache-sized blocks, and
+col2im sums each input element's kernel taps in a fixed (i, j) order from
+zero whatever the blocking, so the blocking never changes a bit.
 """
 from __future__ import annotations
 
@@ -212,31 +215,69 @@ def backward(root: Tensor) -> None:
 # convolution
 
 
+# Bytes of column matrix handled per block by _im2col/_col2im. Each block is
+# touched once per kernel tap, so it has to stay in a per-core L2 cache
+# (256 KiB to 2 MiB on current x86 cores) together with its input rows, a
+# further 1/(kh*kw) of its size; then every cache line of the column matrix
+# goes to memory once rather than once per tap.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _blocks(b: int, rows: int, row_bytes: int):
+    """(items, r0, r1) blocks of about _BLOCK_BYTES: one item and a run of
+    rows, or whole items when one fits."""
+    per_block = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    if per_block >= rows:
+        step = per_block // rows
+        for n in range(0, b, step):
+            yield slice(n, n + step), 0, rows
+        return
+    for n in range(b):
+        for r0 in range(0, rows, per_block):
+            yield slice(n, n + 1), r0, min(rows, r0 + per_block)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    """[B, C, H, W] -> windows as rows: [B, Ho·Wo, C·kh·kw], (c, i, j) order."""
     b, c, h, w = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, (b, c, ho, wo, kh, kw), (s0, s1, s2 * stride, s3 * stride, s2, s3)
-    )
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(b, ho * wo, c * kh * kw)
-    return cols, ho, wo
+    p = padding
+    hp, wp = h + 2 * p, w + 2 * p
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    xn = np.zeros((b, hp, wp, c), dtype=x.dtype)
+    xn[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((b, ho, wo, c, kh, kw), dtype=x.dtype)
+    wend = (wo - 1) * stride + 1
+    for n, r0, r1 in _blocks(b, ho, wo * c * kh * kw * x.itemsize):
+        for i in range(kh):
+            src = xn[n, r0 * stride + i : (r1 - 1) * stride + i + 1 : stride]
+            for j in range(kw):
+                cols[n, r0:r1, :, :, i, j] = src[:, :, j : j + wend : stride]
+    return cols.reshape(b, ho * wo, c * kh * kw), ho, wo
 
 
 def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int, ho: int, wo: int):
+    """Adjoint of _im2col: sums each input element's taps in (i, j) order."""
     b, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dxp = np.zeros((b, c, hp, wp), dtype=dcols.dtype)
-    dwin = dcols.reshape(b, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += dwin[..., i, j]
-    if padding:
-        return dxp[:, :, padding : padding + h, padding : padding + w]
-    return dxp
+    p = padding
+    hp, wp = h + 2 * p, w + 2 * p
+    dxn = np.zeros((b, hp, wp, c), dtype=dcols.dtype)
+    dwin = dcols.reshape(b, ho, wo, c, kh, kw)
+    wend = (wo - 1) * stride + 1
+    # blocks run over padded input rows (each takes about 1/stride of a dcols
+    # row), so every element receives all its taps inside one block, in the
+    # same order as an unblocked loop
+    for n, y0, y1 in _blocks(b, hp, wo * c * kh * kw * dcols.itemsize // stride):
+        for i in range(kh):
+            # output rows oy whose tap i lands in [y0, y1): y0 <= oy*stride + i < y1
+            lo = max(0, -((i - y0) // stride))
+            hi = min(ho, -((i - y1) // stride))
+            if lo >= hi:
+                continue
+            dst = dxn[n, lo * stride + i : (hi - 1) * stride + i + 1 : stride]
+            for j in range(kw):
+                dst[:, :, j : j + wend : stride] += dwin[n, lo:hi, :, :, i, j]
+    return dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

@@ -250,7 +250,11 @@ _TAG_TASKS = {i: name for name, i in _TASK_TAGS.items()}
 
 @dataclass
 class SeismicDataset:
-    """Aligned stacks of (degraded, target) patches plus task metadata."""
+    """Aligned stacks of (degraded, target) patches plus task metadata.
+
+    Raises ValueError for non-finite samples, keep masks other than 0/1
+    and a dt or dx that is not positive and finite.
+    """
 
     targets: np.ndarray
     degraded: np.ndarray
@@ -269,6 +273,14 @@ class SeismicDataset:
             raise ValueError("mask stack must be [n_patches, n_traces]")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        for name in ("dt", "dx"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (np.isfinite(self.targets).all() and np.isfinite(self.degraded).all()):
+            raise ValueError("patch stacks contain non-finite samples")
+        if (self.masks > 1).any():
+            raise ValueError("keep masks must hold only 0 and 1")
 
     def __len__(self) -> int:
         return self.targets.shape[0]
@@ -338,7 +350,10 @@ def load_seis(path) -> SeismicDataset:
         offset += t * s * 4
         masks[i] = np.frombuffer(raw, dtype=np.uint8, count=s, offset=offset)
         offset += s
-    return SeismicDataset(targets, degraded, masks, dt, dx, _TAG_TASKS[tag])
+    try:
+        return SeismicDataset(targets, degraded, masks, dt, dx, _TAG_TASKS[tag])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _degrade(patch: SeismicPatch, spec: DegradationSpec, patch_index: int):

@@ -4,6 +4,7 @@ import pytest
 
 from qcseis import autograd as ag
 from qcseis import gradcheck
+from qcseis import models as mdl
 
 
 def t32(data, grad=False):
@@ -35,6 +36,130 @@ class TestConv2d:
         out = ag.conv2d(t32(np.ones((1, 1, 32, 32))), t32(np.ones((3, 1, 3, 3))),
                         t32(np.zeros(3)), stride=2, padding=1)
         assert out.shape == (1, 3, 16, 16)
+
+
+# The unblocked helpers as they were before cache blocking: the oracle the
+# blocked ones must match bit for bit.
+def reference_im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    b, c, h, w = x.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (b, c, ho, wo, kh, kw), (s0, s1, s2 * stride, s3 * stride, s2, s3)
+    )
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(b, ho * wo, c * kh * kw)
+    return cols, ho, wo
+
+
+def reference_col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int, ho: int, wo: int):
+    b, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    dxp = np.zeros((b, c, hp, wp), dtype=dcols.dtype)
+    dwin = dcols.reshape(b, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += dwin[..., i, j]
+    if padding:
+        return dxp[:, :, padding : padding + h, padding : padding + w]
+    return dxp
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
+
+
+def assert_same_bits(new, ref):
+    assert new.shape == ref.shape and new.dtype == ref.dtype
+    assert np.array_equal(bits(new), bits(ref))
+
+
+class TestConvHelpers:
+    """Blocked im2col/col2im against the unblocked reference, bit for bit."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 3000, 20000, ag._BLOCK_BYTES])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_reference(self, monkeypatch, block_bytes, dtype, stride):
+        # 1 byte gives one row per block, 3000 and 20000 runs of a few rows or
+        # a few whole items, the default one block for the whole batch
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(stride)
+        for padding in (0, 1, 2):
+            for k in (1, 3, 5):
+                x = rng.normal(size=(3, 2, 9, 11)).astype(dtype)
+                cols, ho, wo = ag._im2col(x, k, k, stride, padding)
+                ref_cols, ref_ho, ref_wo = reference_im2col(x, k, k, stride, padding)
+                assert (ho, wo) == (ref_ho, ref_wo)
+                assert cols.flags.c_contiguous
+                assert_same_bits(cols, ref_cols)
+                dcols = rng.normal(size=cols.shape).astype(dtype)
+                dcols[rng.random(cols.shape) < 0.3] = -0.0
+                assert_same_bits(ag._col2im(dcols, x.shape, k, k, stride, padding, ho, wo),
+                                 reference_col2im(dcols, x.shape, k, k, stride, padding, ho, wo))
+
+    def test_negative_zero_taps_sum_to_positive_zero(self):
+        dcols = np.full((1, 9, 9), -0.0, dtype=np.float32)
+        dx = ag._col2im(dcols, (1, 1, 3, 3), 3, 3, 1, 1, 3, 3)
+        assert not np.signbit(dx).any()
+
+
+def default_conv_shapes(batch: int) -> list:
+    """(x shape, weight shape, stride, padding) of every conv in the default models."""
+    seen = []
+    record = ag.conv2d
+
+    def recording(x, weight, bias, stride=1, padding=0):
+        key = ((batch,) + x.shape[1:], weight.shape, stride, padding)
+        if key not in seen:
+            seen.append(key)
+        return record(x, weight, bias, stride, padding)
+
+    ag.conv2d = recording
+    try:
+        x = ag.Tensor(np.zeros((2, 1, 64, 64), dtype=np.float32))
+        with ag.no_grad():
+            for model in (mdl.Generator(mdl.GeneratorConfig()),
+                          mdl.Discriminator(mdl.DiscriminatorConfig()),
+                          mdl.UNet(mdl.UNetConfig())):
+                model(x)
+    finally:
+        ag.conv2d = record
+    return seen
+
+
+class TestConvAtModelShapes:
+    """conv2d forward, dx, dw and db at the default models' shapes equal a conv
+    on the reference helpers bit for bit."""
+
+    SHAPES = default_conv_shapes(batch=16)
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride, padding", SHAPES,
+                             ids=[f"{x}-{w}-s{s}" for x, w, s, _ in SHAPES])
+    def test_bitwise(self, monkeypatch, x_shape, w_shape, stride, padding):
+        rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
+        x = t32(rng.normal(size=x_shape), grad=True)
+        w = t32(rng.normal(size=w_shape) * 0.1, grad=True)
+        b = t32(rng.normal(size=w_shape[0]), grad=True)
+        out = ag.conv2d(x, w, b, stride, padding)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        grads = out._backward(g)
+        monkeypatch.setattr(ag, "_im2col", reference_im2col)
+        monkeypatch.setattr(ag, "_col2im", reference_col2im)
+        ref = ag.conv2d(x, w, b, stride, padding)
+        assert_same_bits(out.data, ref.data)
+        for new, old in zip(grads, ref._backward(g)):
+            assert_same_bits(new, old)
+
+    def test_shapes_cover_the_models(self):
+        assert len(self.SHAPES) >= 15
+        assert any(s == 2 for _, _, s, _ in self.SHAPES)
+        assert any(w[2] == 1 for _, w, _, _ in self.SHAPES)
+        assert any(w[0] == 1 for _, w, _, _ in self.SHAPES)
+        assert max(x[1] for x, _, _, _ in self.SHAPES) >= 256
 
 
 class TestPrelu:

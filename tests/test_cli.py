@@ -39,6 +39,11 @@ class TestGenData:
         assert run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "x"),
                         "--n", "10", "--height", "7", "--width", "32"]) == cli.EXIT_CONFIG
 
+    def test_negative_dx_rejected(self, tmp_path):
+        assert run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "x"),
+                        "--n", "10", "--height", "32", "--width", "32", "--dx", "-25"]) == cli.EXIT_CONFIG
+        assert not list((tmp_path / "x").glob("*.seis"))
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QCSEIS_SEED", "77")
         run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "a"),
@@ -281,6 +286,62 @@ class TestResumeErrors:
         config.write_text(json.dumps(train_config(small_dataset, tmp_path / "out", epochs=2)))
         code = run_cli(["train", "--config", str(config), "--workers", "1", "--resume", str(path)])
         assert code == cli.EXIT_MISMATCH
+
+
+def seis_value(offset, fmt, value):
+    """An edit of a 32x32 .seis file that packs `value` at byte `offset`."""
+    def edit(raw):
+        raw = bytearray(raw)
+        struct.pack_into(fmt, raw, offset, value)
+        return bytes(raw)
+    return edit
+
+
+def seis_sign_flip(offset):
+    def edit(raw):
+        raw = bytearray(raw)
+        raw[offset] ^= 0x80
+        return bytes(raw)
+    return edit
+
+
+# header: 41 bytes with dt at 24 and dx at 32; then target, degraded, mask per patch
+BAD_SEIS_EDITS = {
+    "dt_sign_flipped": seis_sign_flip(31),
+    "dx_sign_flipped": seis_sign_flip(39),
+    "nan_sample": seis_value(41 + 4 * 7, "<f", float("nan")),
+    "mask_two": seis_value(41 + 8 * 32 * 32, "<B", 2),
+}
+
+
+class TestBadDataValues:
+    """A data file with bad values ends in the documented exit code, not a traceback."""
+
+    @staticmethod
+    def corrupt_copy(small_dataset, tmp_path, split, name):
+        data = tmp_path / "data"
+        data.mkdir()
+        for p in small_dataset.glob("*.seis"):
+            (data / p.name).write_bytes(p.read_bytes())
+        target = data / f"{split}.seis"
+        before = target.read_bytes()
+        target.write_bytes(BAD_SEIS_EDITS[name](before))
+        assert target.read_bytes() != before
+        return data
+
+    @pytest.mark.parametrize("name", sorted(BAD_SEIS_EDITS))
+    def test_train(self, small_dataset, tmp_path, name):
+        data = self.corrupt_copy(small_dataset, tmp_path, "train", name)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(train_config(data, tmp_path / "out", epochs=1)))
+        assert run_cli(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", sorted(BAD_SEIS_EDITS))
+    def test_eval(self, trained, small_dataset, tmp_path, name):
+        data = self.corrupt_copy(small_dataset, tmp_path, "test", name)
+        code = run_cli(["eval", "--checkpoint", str(trained), "--data", str(data),
+                        "--report", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_IO
 
 
 class TestSelftestCommand:

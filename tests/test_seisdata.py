@@ -1,5 +1,6 @@
 """Synthetic data tests: wavelets, gathers, degradations, persistence."""
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -251,3 +252,65 @@ class TestSeisFormat:
         path.write_bytes(raw[:-10])
         with pytest.raises(ValueError, match="truncated|expected"):
             sd.load_seis(path)
+
+
+def set_value(offset, fmt, value):
+    """An edit of raw .seis bytes that packs `value` at `offset` (a function of T, S)."""
+    def edit(raw, t, s):
+        raw = bytearray(raw)
+        struct.pack_into(fmt, raw, offset(t, s), value)
+        return bytes(raw)
+    return edit
+
+
+def flip_byte(index):
+    def edit(raw, t, s):
+        raw = bytearray(raw)
+        raw[index] ^= 0x80
+        return bytes(raw)
+    return edit
+
+
+HEADER = 41  # magic, version, n, T, S, dt at byte 24, dx at byte 32, task tag
+BAD_VALUE_EDITS = {
+    "dt_sign_flipped": flip_byte(31),
+    "dx_sign_flipped": flip_byte(39),
+    "dt_zero": set_value(lambda t, s: 24, "<d", 0.0),
+    "dt_inf": set_value(lambda t, s: 24, "<d", float("inf")),
+    "dx_nan": set_value(lambda t, s: 32, "<d", float("nan")),
+    "target_nan": set_value(lambda t, s: HEADER + 4 * 5, "<f", float("nan")),
+    "degraded_inf": set_value(lambda t, s: HEADER + 4 * t * s, "<f", float("-inf")),
+    "mask_two": set_value(lambda t, s: HEADER + 8 * t * s + 3, "<B", 2),
+}
+
+
+class TestSeisValues:
+    @staticmethod
+    def small_dataset(**overrides):
+        rng = np.random.default_rng(4)
+        fields = dict(
+            targets=rng.normal(size=(2, 8, 8)).astype(np.float32),
+            degraded=rng.normal(size=(2, 8, 8)).astype(np.float32),
+            masks=np.ones((2, 8), dtype=np.uint8),
+            dt=0.004, dx=25.0, task="denoise",
+        )
+        fields.update(overrides)
+        return sd.SeismicDataset(**fields)
+
+    @pytest.mark.parametrize("name", sorted(BAD_VALUE_EDITS))
+    def test_bad_value_rejected(self, tmp_path, name):
+        path = tmp_path / "v.seis"
+        sd.save_seis(path, self.small_dataset())
+        sd.load_seis(path)
+        path.write_bytes(BAD_VALUE_EDITS[name](path.read_bytes(), 8, 8))
+        with pytest.raises(ValueError, match=str(path)):
+            sd.load_seis(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", -0.004), ("dx", 0.0), ("dx", float("inf")),
+        ("targets", np.full((2, 8, 8), np.nan)),
+        ("masks", np.full((2, 8), 255)),
+    ])
+    def test_constructor_rejects(self, field, value):
+        with pytest.raises(ValueError):
+            self.small_dataset(**{field: value})

@@ -1,7 +1,12 @@
 """Trainer tests: Adam oracle, checkpoints, determinism, resume, graph lifetime."""
 import gc
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +315,43 @@ class TestResume:
         assert opt2.step_count == 3
         assert np.array_equal(opt2.m[0], opt.m[0])
         assert np.array_equal(opt2.v[0], opt.v[0])
+
+
+BLAS_RUN = textwrap.dedent("""
+    import hashlib, os, sys
+    from qcseis import models as mdl, seisdata as sd, trainer
+
+    root = sys.argv[1]
+    sd.build_dataset(sd.DegradationSpec(task="interpolation_random", seed=3), 24, (32, 32), root)
+    gen = mdl.Generator(mdl.GeneratorConfig(blocks=2, base_channels=8, patch_height=32, patch_width=32), init_seed=1)
+    disc = mdl.Discriminator(mdl.DiscriminatorConfig(blocks=2, base_channels=8, patch_height=32, patch_width=32), init_seed=2)
+    cfg = trainer.TrainConfig(epochs=1, batch_size=8, lr=1e-4, seed=7, checkpoint_every=1)
+    trainer.train_gan(gen, disc, sd.load_split(root, "train"), sd.load_split(root, "val"), cfg, os.path.join(root, "out"))
+    h = hashlib.sha256()
+    for model in (gen, disc):
+        for name, p in model.named_parameters():
+            h.update(name.encode())
+            h.update(p.tensor.data.tobytes())
+    threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else -1
+    print(h.hexdigest(), threads)
+""")
+
+
+def test_blas_thread_count_keeps_parameters_bit_identical(tmp_path):
+    """Smoke-scale GAN training gives the same parameters with one and two BLAS threads."""
+    src = str(Path(trainer.__file__).resolve().parents[1])
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", BLAS_RUN, str(tmp_path / threads)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digest, seen = proc.stdout.split()[-2:]
+        if seen != "-1":  # where the OS lists threads, BLAS started the requested pool
+            assert int(seen) >= int(threads)
+        results[threads] = digest
+    assert results["1"] == results["2"]
 
 
 def surviving_arrays(monkeypatch, module, name, train_fn) -> list:
