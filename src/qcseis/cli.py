@@ -5,6 +5,11 @@ Every command is driven by flags or a JSON config whose resolved form
 be reproduced from the echo alone. Machine-readable summaries go to
 stdout; diagnostics go to stderr via logging.
 
+The `model` and `train` config sections are read off the dataclasses:
+`models.NetConfig` (plus the GAN's `blocks`), `trainer.TrainConfig` and
+`objectives.LossWeights` declare every key and its default, and a value
+must have the JSON type of its default.
+
 Exit codes: 0 success, 1 self-test failure, 2 invalid flags/config,
 3 I/O failure, 4 training divergence, 5 checkpoint/data mismatch.
 """
@@ -16,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,32 +61,25 @@ def _env_seed(seed: int) -> int:
 
 
 _DATA_DEFAULTS = {"dir": None, "task": None}
+# the dataset sets the patch size, so patch_* are not config keys
+_NET_KEYS = [f.name for f in fields(mdl.NetConfig) if not f.name.startswith("patch_")]
+_GEN_DEFAULTS = asdict(mdl.GeneratorConfig())
 _MODEL_DEFAULTS = {
     "family": None,  # "qcgan" or "unet"
-    "quantum": True,
-    "blocks": 4,
-    "base_channels": 32,
-    "quantum_fraction": 0.25,
-    "n_qubits": 4,
-    "n_circuits": 4,
-    "circuit_depth": 2,
-    "circuit_seed": 7,
-    "input_scale": 1.0,
     "init_seed": 0,
+    **{key: _GEN_DEFAULTS[key] for key in _NET_KEYS + ["blocks"]},
 }
+_TRAIN_KEYS = [f.name for f in fields(trainer.TrainConfig) if f.name != "weights"]
+_WEIGHT_KEYS = {"lambda_rec": "reconstruction", "lambda_com": "complementarity"}
+_TC_DEFAULTS = asdict(trainer.TrainConfig())
 _TRAIN_DEFAULTS = {
-    "epochs": 100,
-    "batch_size": 16,
-    "lr": None,
-    "lambda_rec": 100.0,
-    "lambda_com": 1.0,
-    "com_in_discriminator": True,
-    "seed": 0,
-    "checkpoint_every": 5,
-    "grad_clip": 5.0,
+    **{key: _TC_DEFAULTS[key] for key in _TRAIN_KEYS},
+    **{key: _TC_DEFAULTS["weights"][name] for key, name in _WEIGHT_KEYS.items()},
     "out_dir": None,
 }
 _EVAL_DEFAULTS = {"report": None, "spectra_dir": None}
+_SECTIONS = {"data": _DATA_DEFAULTS, "model": _MODEL_DEFAULTS, "train": _TRAIN_DEFAULTS,
+             "eval": _EVAL_DEFAULTS}
 
 
 def _merge_section(name: str, doc: dict, defaults: dict) -> dict:
@@ -95,42 +94,42 @@ def _merge_section(name: str, doc: dict, defaults: dict) -> dict:
     return merged
 
 
+# the JSON values a key takes, by the type of its default; keys that default to null by name
+_ACCEPTED = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"), float: ((int, float), "a number")}
+_ACCEPTED_BY_KEY = {"dir": ((str,), "a string"), "out_dir": ((str,), "a string"),
+                    "lr": ((int, float, type(None)), "a number or null")}
+
+
+def _check_types(name: str, section: dict, defaults: dict) -> None:
+    for key, default in defaults.items():
+        accepted = _ACCEPTED_BY_KEY.get(key) or _ACCEPTED.get(type(default))
+        if accepted and type(section[key]) not in accepted[0]:
+            raise ConfigError(f"{name}.{key} must be {accepted[1]}, got {section[key]!r}")
+
+
 def resolve_config(doc: dict) -> dict:
-    """Materialize defaults and reject unknown keys at every level."""
+    """Materialize defaults, reject unknown keys at every level and wrongly typed values."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - {"data", "model", "train", "eval"}
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown top-level config sections: {sorted(unknown)}")
-    resolved = {
-        "data": _merge_section("data", doc, _DATA_DEFAULTS),
-        "model": _merge_section("model", doc, _MODEL_DEFAULTS),
-        "train": _merge_section("train", doc, _TRAIN_DEFAULTS),
-        "eval": _merge_section("eval", doc, _EVAL_DEFAULTS),
-    }
+    resolved = {name: _merge_section(name, doc, defaults) for name, defaults in _SECTIONS.items()}
     if not resolved["data"]["dir"]:
         raise ConfigError("data.dir is required")
     if resolved["model"]["family"] not in ("qcgan", "unet"):
         raise ConfigError("model.family must be 'qcgan' or 'unet'")
     if not resolved["train"]["out_dir"]:
         raise ConfigError("train.out_dir is required")
+    for name, defaults in _SECTIONS.items():
+        _check_types(name, resolved[name], defaults)
     resolved["train"]["seed"] = _env_seed(resolved["train"]["seed"])
     return resolved
 
 
 def _model_configs(model_cfg: dict, patch: tuple, family: str):
-    common = dict(
-        base_channels=model_cfg["base_channels"],
-        quantum_fraction=model_cfg["quantum_fraction"],
-        quantum=model_cfg["quantum"],
-        n_qubits=model_cfg["n_qubits"],
-        n_circuits=model_cfg["n_circuits"],
-        circuit_depth=model_cfg["circuit_depth"],
-        circuit_seed=model_cfg["circuit_seed"],
-        input_scale=model_cfg["input_scale"],
-        patch_height=patch[0],
-        patch_width=patch[1],
-    )
+    common = {key: model_cfg[key] for key in _NET_KEYS}
+    common.update(patch_height=patch[0], patch_width=patch[1])
     if family == "qcgan":
         gen = mdl.GeneratorConfig(blocks=model_cfg["blocks"], **common)
         disc = mdl.DiscriminatorConfig(blocks=model_cfg["blocks"], **common)
@@ -139,19 +138,8 @@ def _model_configs(model_cfg: dict, patch: tuple, family: str):
 
 
 def _train_config(train_cfg: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        epochs=train_cfg["epochs"],
-        batch_size=train_cfg["batch_size"],
-        lr=train_cfg["lr"],
-        weights=LossWeights(
-            reconstruction=train_cfg["lambda_rec"],
-            complementarity=train_cfg["lambda_com"],
-        ),
-        com_in_discriminator=train_cfg["com_in_discriminator"],
-        seed=train_cfg["seed"],
-        checkpoint_every=train_cfg["checkpoint_every"],
-        grad_clip=train_cfg["grad_clip"],
-    )
+    weights = LossWeights(**{name: train_cfg[key] for key, name in _WEIGHT_KEYS.items()})
+    return trainer.TrainConfig(weights=weights, **{key: train_cfg[key] for key in _TRAIN_KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +198,8 @@ def cmd_train(args) -> int:
         return EXIT_CONFIG
     try:
         cfg = resolve_config(doc)
-    except ConfigError as exc:
+        tc = _train_config(cfg["train"])
+    except ValueError as exc:  # ConfigError, or a range check of the train dataclasses
         log.error("%s", exc)
         return EXIT_CONFIG
 
@@ -249,7 +238,6 @@ def cmd_train(args) -> int:
             return EXIT_MISMATCH
 
     patch = train_set.patch_shape
-    tc = _train_config(cfg["train"])
     init_seed = cfg["model"]["init_seed"]
     try:
         if family == "qcgan":

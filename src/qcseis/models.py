@@ -7,6 +7,12 @@ layer, and concatenates the two; the classical twin routes the whole
 partition through the convolutional path instead. Pre-concatenation
 feature pairs are kept after each forward pass for the complementarity
 loss.
+
+The three families share one design, declared once: `NetConfig` holds
+the settings and defaults they have in common (width, quantum split,
+circuits, patch size), and `_Network` owns the config, the kept pairs and
+the architecture dict that checkpoints record. Each family adds only its
+own fields, its layers and its forward pass.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ __all__ = [
     "Linear",
     "QuantumConv",
     "HybridResidualBlock",
+    "NetConfig",
     "GeneratorConfig",
     "DiscriminatorConfig",
     "UNetConfig",
@@ -231,19 +238,16 @@ class HybridResidualBlock(Module):
     def __init__(self, channels, quantum_channels, qcfg, rng, quantum=True, fuse=True, dtype=np.float32):
         super().__init__()
         self.quantum = quantum
-        self.channels = channels
         if quantum:
             if not 0 < quantum_channels < channels:
                 raise ValueError(
                     f"quantum partition {quantum_channels} must be inside (0, {channels})"
                 )
             self.classical_channels = channels - quantum_channels
-            self.quantum_channels = quantum_channels
             self.qconv = QuantumConv(qcfg)
             concat_channels = self.classical_channels + qcfg.n_circuits
         else:
             self.classical_channels = channels
-            self.quantum_channels = 0
             concat_channels = channels
         self.unit1 = ConvUnit(self.classical_channels, self.classical_channels, rng, dtype=dtype)
         self.unit2 = ConvUnit(self.classical_channels, self.classical_channels, rng, dtype=dtype)
@@ -287,11 +291,11 @@ def _layer_qcfg(cfg, site_seed: int) -> QuantumLayerConfig:
 
 
 @dataclass
-class GeneratorConfig:
-    blocks: int = 4
+class NetConfig:
+    """Settings every network family shares; the dataset sets the patch size."""
+
     base_channels: int = 32
     quantum_fraction: float = 0.25
-    upsample_factor: int = 2
     quantum: bool = True
     n_qubits: int = 4
     n_circuits: int = 4
@@ -302,6 +306,17 @@ class GeneratorConfig:
     patch_width: int = 64
 
     def __post_init__(self):
+        if self.base_channels < 1:
+            raise ValueError("need at least one base channel")
+
+
+@dataclass
+class GeneratorConfig(NetConfig):
+    blocks: int = 4
+    upsample_factor: int = 2
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.upsample_factor != 2:
             raise ValueError("the upsample factor is fixed at 2")
         if self.blocks < 1 or self.base_channels < 2:
@@ -309,46 +324,54 @@ class GeneratorConfig:
 
 
 @dataclass
-class DiscriminatorConfig:
+class DiscriminatorConfig(NetConfig):
     blocks: int = 4
-    base_channels: int = 32
-    quantum_fraction: float = 0.25
-    quantum: bool = True
-    n_qubits: int = 4
-    n_circuits: int = 4
-    circuit_depth: int = 2
-    circuit_seed: int = 7
-    input_scale: float = 1.0
-    patch_height: int = 64
-    patch_width: int = 64
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.blocks < 1:
+            raise ValueError("need at least one block")
 
 
 @dataclass
-class UNetConfig:
-    base_channels: int = 32
-    quantum_fraction: float = 0.25
-    quantum: bool = True
-    n_qubits: int = 4
-    n_circuits: int = 4
-    circuit_depth: int = 2
-    circuit_seed: int = 7
-    input_scale: float = 1.0
-    patch_height: int = 64
-    patch_width: int = 64
+class UNetConfig(NetConfig):
     levels: int = 3
 
     def __post_init__(self):
+        super().__post_init__()
         if self.levels != 3:
             raise ValueError("the encoder depth is fixed at 3 levels")
 
 
-class Generator(Module):
-    """Restoration network: strided stem, dual-path blocks, sub-pixel upsample."""
+class _Network(Module):
+    """Shell every family shares: its config, the pairs its forward keeps, its arch dict."""
 
-    def __init__(self, cfg: GeneratorConfig, init_seed: int = 0, dtype=np.float32):
+    family: str  # the name checkpoints record
+    config_type: type
+
+    def __init__(self, cfg: NetConfig):
         super().__init__()
         self.cfg = cfg
-        self.dtype = dtype
+        self._pairs = None
+
+    @property
+    def complementarity_pairs(self):
+        if self._pairs is None:
+            raise RuntimeError("complementarity pairs requested with no forward pass kept")
+        return list(self._pairs)
+
+    def arch_config(self) -> dict:
+        return {"family": self.family, "config": asdict(self.cfg)}
+
+
+class Generator(_Network):
+    """Restoration network: strided stem, dual-path blocks, sub-pixel upsample."""
+
+    family = "generator"
+    config_type = GeneratorConfig
+
+    def __init__(self, cfg: GeneratorConfig, init_seed: int = 0, dtype=np.float32):
+        super().__init__(cfg)
         rng = np.random.default_rng(init_seed)
         c0 = cfg.base_channels
         qch = _quantum_partition(c0, cfg.quantum_fraction)
@@ -366,7 +389,6 @@ class Generator(Module):
         r = cfg.upsample_factor
         self.up_conv = Conv2d(c0, r * r, 3, rng, padding=1, dtype=dtype)
         self.out_conv = Conv2d(1, 1, 3, rng, padding=1, dtype=dtype)
-        self._pairs = None
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 1:
@@ -388,27 +410,19 @@ class Generator(Module):
         self._pairs = pairs
         return self.out_conv(up)
 
-    @property
-    def complementarity_pairs(self):
-        if self._pairs is None:
-            raise RuntimeError("complementarity pairs requested with no forward pass kept")
-        return list(self._pairs)
 
-    def arch_config(self) -> dict:
-        return {"family": "generator", "config": asdict(self.cfg)}
-
-
-class Discriminator(Module):
+class Discriminator(_Network):
     """Real/fake scorer: dual-path blocks with pooling, then flatten + fc + sigmoid.
 
     The last block skips the 1x1 fusion so the concatenated classical and
     quantum maps feed the fully connected head directly.
     """
 
+    family = "discriminator"
+    config_type = DiscriminatorConfig
+
     def __init__(self, cfg: DiscriminatorConfig, init_seed: int = 0, dtype=np.float32):
-        super().__init__()
-        self.cfg = cfg
-        self.dtype = dtype
+        super().__init__(cfg)
         rng = np.random.default_rng(init_seed)
         c0 = cfg.base_channels
         qch = _quantum_partition(c0, cfg.quantum_fraction)
@@ -438,7 +452,6 @@ class Discriminator(Module):
         self.blocks = ModuleList(blocks)
         self.feature_dim = blocks[-1].out_channels * h * w
         self.head = Linear(self.feature_dim, 1, rng, dtype=dtype)
-        self._pairs = None
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 1:
@@ -459,15 +472,6 @@ class Discriminator(Module):
         self._pairs = pairs
         return ag.sigmoid(self.head(ag.flatten(h)))
 
-    @property
-    def complementarity_pairs(self):
-        if self._pairs is None:
-            raise RuntimeError("complementarity pairs requested with no forward pass kept")
-        return list(self._pairs)
-
-    def arch_config(self) -> dict:
-        return {"family": "discriminator", "config": asdict(self.cfg)}
-
 
 class DoubleConv(Module):
     def __init__(self, cin, cout, rng, dtype=np.float32):
@@ -479,7 +483,7 @@ class DoubleConv(Module):
         return self.unit2(self.unit1(x))
 
 
-class UNet(Module):
+class UNet(_Network):
     """3-level encoder/decoder with skip connections and a quantum bottleneck.
 
     The bottleneck feature map is split; the quantum partition goes through
@@ -487,10 +491,11 @@ class UNet(Module):
     blocks of the GAN. The quantum-off flag yields the classical UNet.
     """
 
+    family = "unet"
+    config_type = UNetConfig
+
     def __init__(self, cfg: UNetConfig, init_seed: int = 0, dtype=np.float32):
-        super().__init__()
-        self.cfg = cfg
-        self.dtype = dtype
+        super().__init__(cfg)
         rng = np.random.default_rng(init_seed)
         c0 = cfg.base_channels
         cb = 8 * c0
@@ -513,7 +518,6 @@ class UNet(Module):
         self.up1 = Conv2d(2 * c0, c0, 3, rng, padding=1, dtype=dtype)
         self.dec1 = DoubleConv(2 * c0, c0, rng, dtype=dtype)
         self.out_conv = Conv2d(c0, 1, 3, rng, padding=1, dtype=dtype)
-        self._pairs = None
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 1:
@@ -540,15 +544,6 @@ class UNet(Module):
         self._pairs = pairs
         return self.out_conv(d1)
 
-    @property
-    def complementarity_pairs(self):
-        if self._pairs is None:
-            raise RuntimeError("complementarity pairs requested with no forward pass kept")
-        return list(self._pairs)
-
-    def arch_config(self) -> dict:
-        return {"family": "unet", "config": asdict(self.cfg)}
-
 
 def collect_complementarity_pairs(model) -> list:
     """Pre-concatenation (classical, quantum) feature pairs of the last forward."""
@@ -559,23 +554,13 @@ def count_trainable_parameters(model: Module) -> int:
     return sum(p.tensor.size for p in model.trainable_parameters())
 
 
-_CONFIG_TYPES = {
-    "generator": GeneratorConfig,
-    "discriminator": DiscriminatorConfig,
-    "unet": UNetConfig,
-}
-
-_MODEL_TYPES = {
-    "generator": Generator,
-    "discriminator": Discriminator,
-    "unet": UNet,
-}
+_FAMILIES = {cls.family: cls for cls in (Generator, Discriminator, UNet)}
 
 
 def build_model(arch: dict, init_seed: int = 0):
     """Instantiate a model from its architecture dict (see arch_config)."""
     family = arch.get("family")
-    if family not in _MODEL_TYPES:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    cfg = _CONFIG_TYPES[family](**arch["config"])
-    return _MODEL_TYPES[family](cfg, init_seed=init_seed)
+    cls = _FAMILIES[family]
+    return cls(cls.config_type(**arch["config"]), init_seed=init_seed)

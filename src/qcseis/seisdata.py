@@ -43,6 +43,11 @@ _SEIS_VERSION = 1
 _HEADER = struct.Struct("<4sIQIIddB")
 
 
+def _patch_record(t: int, s: int) -> np.dtype:
+    """One patch of a SEIS file: target and degraded [T, S] f32, then the keep mask [S] u8."""
+    return np.dtype([("target", "<f4", (t, s)), ("degraded", "<f4", (t, s)), ("mask", "u1", (s,))])
+
+
 @dataclass
 class SeismicPatch:
     """One [T, S] gather patch with its sampling intervals."""
@@ -316,12 +321,13 @@ def save_seis(path, dataset: SeismicDataset) -> None:
     header = _HEADER.pack(
         _SEIS_MAGIC, _SEIS_VERSION, n, t, s, dataset.dt, dataset.dx, _TASK_TAGS[dataset.task]
     )
+    records = np.empty(n, dtype=_patch_record(t, s))
+    records["target"] = dataset.targets
+    records["degraded"] = dataset.degraded
+    records["mask"] = dataset.masks
     with replacing(path, "wb") as fh:
         fh.write(header)
-        for i in range(n):
-            fh.write(dataset.targets[i].astype("<f4").tobytes())
-            fh.write(dataset.degraded[i].astype("<f4").tobytes())
-            fh.write(dataset.masks[i].tobytes())
+        fh.write(records.tobytes())
 
 
 def load_seis(path) -> SeismicDataset:
@@ -335,23 +341,13 @@ def load_seis(path) -> SeismicDataset:
         raise ValueError(f"{path}: unsupported SEIS version {version}")
     if tag not in _TAG_TASKS:
         raise ValueError(f"{path}: unknown task tag {tag}")
-    patch_bytes = 2 * t * s * 4 + s
-    expected = _HEADER.size + n * patch_bytes
+    # sizes checked as Python integers: a huge header must not reach the dtype constructor
+    expected = _HEADER.size + n * (2 * t * s * 4 + s)
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)} (truncated or padded)")
-    targets = np.empty((n, t, s), dtype=np.float32)
-    degraded = np.empty((n, t, s), dtype=np.float32)
-    masks = np.empty((n, s), dtype=np.uint8)
-    offset = _HEADER.size
-    for i in range(n):
-        targets[i] = np.frombuffer(raw, dtype="<f4", count=t * s, offset=offset).reshape(t, s)
-        offset += t * s * 4
-        degraded[i] = np.frombuffer(raw, dtype="<f4", count=t * s, offset=offset).reshape(t, s)
-        offset += t * s * 4
-        masks[i] = np.frombuffer(raw, dtype=np.uint8, count=s, offset=offset)
-        offset += s
+    records = np.frombuffer(raw, dtype=_patch_record(t, s), count=n, offset=_HEADER.size)
     try:
-        return SeismicDataset(targets, degraded, masks, dt, dx, _TAG_TASKS[tag])
+        return SeismicDataset(records["target"], records["degraded"], records["mask"], dt, dx, _TAG_TASKS[tag])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

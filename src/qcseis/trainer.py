@@ -144,12 +144,12 @@ class TrainConfig:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
         if self.lr is not None and self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        if self.checkpoint_every < 1:
+            raise ValueError("need checkpoint_every >= 1")
+        if not (np.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ValueError("grad_clip must be finite and >= 0")
         if isinstance(self.weights, dict):
             self.weights = LossWeights(**self.weights)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def save_checkpoint(path, task: str, model_map: dict, optimizer_map: dict,
         "format": _QCKP_VERSION,
         "task": task,
         "arch": arch,
-        "train": train_cfg.to_dict(),
+        "train": asdict(train_cfg),
         "layouts": layouts,
         "runtime": runtime,
     }

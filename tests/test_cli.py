@@ -1,7 +1,10 @@
 """Command-line interface tests: exit codes, reproducibility, config echo."""
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,66 @@ def train_config(data_dir, out_dir, epochs=2, quantum=True):
         "train": {"epochs": epochs, "batch_size": 8, "lr": 1e-4, "seed": 1,
                   "checkpoint_every": 1, "out_dir": str(out_dir)},
     }
+
+
+@pytest.fixture(scope="module")
+def lfe_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_lfe")
+    assert cli.main(["gen-data", "--task", "lfe", "--out", str(root),
+                     "--n", "10", "--height", "32", "--width", "32", "--seed", "1"]) == 0
+    return root
+
+
+class TestConfigSchema:
+    def test_minimal_config_materializes_every_key(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("QCSEIS_SEED", raising=False)
+        resolved = cli.resolve_config({"data": {"dir": "d"}, "model": {"family": "qcgan"},
+                                       "train": {"out_dir": "o"}})
+        assert resolved["model"] == {
+            "family": "qcgan", "init_seed": 0, "blocks": 4, "base_channels": 32,
+            "quantum_fraction": 0.25, "quantum": True, "n_qubits": 4, "n_circuits": 4,
+            "circuit_depth": 2, "circuit_seed": 7, "input_scale": 1.0,
+        }
+        assert resolved["train"] == {
+            "epochs": 100, "batch_size": 16, "lr": None, "lambda_rec": 100.0, "lambda_com": 1.0,
+            "com_in_discriminator": True, "seed": 0, "checkpoint_every": 5, "grad_clip": 5.0,
+            "out_dir": "o",
+        }
+
+    MALFORMED = [
+        ("unet", "model", "base_channels", 0),
+        ("qcgan", "model", "base_channels", "8"),
+        ("qcgan", "model", "circuit_depth", "2"),
+        ("qcgan", "train", "epochs", "2"),
+        ("qcgan", "model", "n_qubits", 2.5),
+        ("qcgan", "train", "batch_size", 4.5),
+        ("qcgan", "train", "lambda_com", "x"),
+        ("qcgan", "train", "grad_clip", None),
+        ("qcgan", "train", "checkpoint_every", 0),
+        ("qcgan", "train", "epochs", 0),
+        ("qcgan", "train", "lr", "1e-3"),
+        ("qcgan", "model", "quantum", 1),
+        ("qcgan", "train", "seed", True),
+        ("qcgan", "train", "grad_clip", -1.0),
+    ]
+
+    @pytest.mark.parametrize("family, section, key, value", MALFORMED,
+                             ids=[f"{f}-{k}={json.dumps(v)}" for f, _, k, v in MALFORMED])
+    def test_malformed_value_exits_config(self, small_dataset, lfe_dataset, tmp_path,
+                                          family, section, key, value):
+        doc = {"data": {"dir": str(lfe_dataset if family == "unet" else small_dataset)},
+               "model": {"family": family, "base_channels": 4},
+               "train": {"epochs": 1, "batch_size": 8, "out_dir": str(tmp_path / "out")}}
+        doc[section][key] = value
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "qcseis.cli", "train", "--config", str(config)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "last.qckp").exists()
 
 
 class TestTrainCommand:
@@ -244,6 +307,14 @@ class TestEvalCommand:
         bad = bytearray(raw)
         bad[12] ^= 0xFF
         path.write_bytes(bytes(bad))
+        code = run_cli(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
+                        "--report", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_MISMATCH
+
+    def test_truncated_checkpoint_exit_code(self, trained, small_dataset, tmp_path):
+        raw = trained.read_bytes()
+        path = tmp_path / "truncated.qckp"
+        path.write_bytes(raw[: len(raw) // 2])
         code = run_cli(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
                         "--report", str(tmp_path / "r.csv")])
         assert code == cli.EXIT_MISMATCH

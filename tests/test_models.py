@@ -199,11 +199,23 @@ class TestParameterBookkeeping:
         for p in disc.trainable_parameters():
             assert p.grad is not None and np.abs(p.grad).max() > 0, p.name
 
-    def test_build_model_roundtrip(self):
-        gen = mdl.Generator(small_gen_cfg(), init_seed=0)
-        rebuilt = mdl.build_model(gen.arch_config(), init_seed=0)
-        x = make_input((1, 1, 32, 32))
-        gen.eval()
+    @pytest.mark.parametrize("model_cls, make_cfg", [
+        (mdl.Generator, small_gen_cfg),
+        (mdl.Discriminator, small_disc_cfg),
+        (mdl.UNet, small_unet_cfg),
+    ], ids=["generator", "discriminator", "unet"])
+    def test_build_model_roundtrip(self, model_cls, make_cfg):
+        model = model_cls(make_cfg(), init_seed=0)
+        rebuilt = mdl.build_model(model.arch_config(), init_seed=0)
+        assert type(rebuilt) is model_cls
+        assert rebuilt.arch_config() == model.arch_config()
+        x = make_input((2, 1, 32, 32))
+        model.eval()
         rebuilt.eval()
         with ag.no_grad():
-            assert np.array_equal(gen(x).data, rebuilt(x).data)
+            assert np.array_equal(model(x).data, rebuilt(x).data)
+
+    def test_build_model_unknown_family(self):
+        arch = mdl.Generator(small_gen_cfg(), init_seed=0).arch_config()
+        with pytest.raises(ValueError, match="unknown model family"):
+            mdl.build_model({**arch, "family": "qcgan"})

@@ -228,6 +228,18 @@ class TestCheckpoints:
         with pytest.raises(trainer.CheckpointError, match="truncated"):
             trainer.load_checkpoint(path)
 
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path):
+        gen = mdl.Generator(mdl.GeneratorConfig(blocks=1, base_channels=2, quantum=False,
+                                                patch_height=8, patch_width=8))
+        path = tmp_path / "small.qckp"
+        trainer.save_checkpoint(path, "denoise", {"generator": gen}, {}, TrainConfig(), {"epoch": 1})
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.qckp"
+        for end in range(len(raw)):  # the file is small enough to cut at every offset
+            cut.write_bytes(raw[:end])
+            with pytest.raises(trainer.CheckpointError):
+                trainer.load_checkpoint(cut)
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         gen, disc = small_models(seed=9)
         roles = {"generator": gen, "discriminator": disc}
