@@ -10,8 +10,10 @@ The `model` and `train` config sections are read off the dataclasses:
 `objectives.LossWeights` declare every key and its default, and a value
 must have the JSON type of its default.
 
-Exit codes: 0 success, 1 self-test failure, 2 invalid flags/config,
-3 I/O failure, 4 training divergence, 5 checkpoint/data mismatch.
+Exit codes: 0 success, 1 self-test failure, 2 invalid flags, config or
+input data, 3 I/O failure, 4 training divergence, 5 checkpoint/data
+mismatch. The commands raise; `main` maps each fault to its code through
+the one table `_EXIT_CODES`.
 """
 from __future__ import annotations
 
@@ -77,9 +79,7 @@ _TRAIN_DEFAULTS = {
     **{key: _TC_DEFAULTS["weights"][name] for key, name in _WEIGHT_KEYS.items()},
     "out_dir": None,
 }
-_EVAL_DEFAULTS = {"report": None, "spectra_dir": None}
-_SECTIONS = {"data": _DATA_DEFAULTS, "model": _MODEL_DEFAULTS, "train": _TRAIN_DEFAULTS,
-             "eval": _EVAL_DEFAULTS}
+_SECTIONS = {"data": _DATA_DEFAULTS, "model": _MODEL_DEFAULTS, "train": _TRAIN_DEFAULTS}
 
 
 def _merge_section(name: str, doc: dict, defaults: dict) -> dict:
@@ -146,13 +146,19 @@ def _train_config(train_cfg: dict) -> trainer.TrainConfig:
 # commands
 
 
+def _load_split(data_dir, split: str) -> seisdata.SeismicDataset:
+    """A split, or ConfigError: a data path that holds no loadable dataset is a bad input."""
+    try:
+        return seisdata.load_split(data_dir, split)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load dataset from {data_dir}: {exc}") from exc
+
+
 def cmd_gen_data(args) -> int:
     if args.height < 8 or args.width < 8:
-        log.error("patch dims must be at least 8x8, got %dx%d", args.height, args.width)
-        return EXIT_CONFIG
+        raise ConfigError(f"patch dims must be at least 8x8, got {args.height}x{args.width}")
     if args.n < 10:
-        log.error("need at least 10 patches, got %d", args.n)
-        return EXIT_CONFIG
+        raise ConfigError(f"need at least 10 patches, got {args.n}")
     seed = _env_seed(args.seed)
     # lfe defaults: coarser sampling and the low-frequency source wavelet
     dt = args.dt if args.dt is not None else (0.016 if args.task == "lfe" else 0.004)
@@ -160,23 +166,12 @@ def cmd_gen_data(args) -> int:
         f0 = (7.0, 7.0) if args.task == "lfe" else _F0_DEFAULTS
     else:
         f0 = (args.f0_lo, args.f0_hi)
-    try:
-        spec = seisdata.DegradationSpec(task=args.task, noise_sigma=args.noise_sigma, seed=seed)
-    except ValueError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    try:
-        paths = seisdata.build_dataset(
-            spec, args.n, (args.height, args.width), args.out,
-            dt=dt, dx=args.dx, n_events=args.n_events,
-            velocity_range=(args.v_lo, args.v_hi), f0_range=f0,
-        )
-    except OSError as exc:
-        log.error("cannot write dataset: %s", exc)
-        return EXIT_IO
-    except ValueError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
+    spec = seisdata.DegradationSpec(task=args.task, noise_sigma=args.noise_sigma, seed=seed)
+    paths = seisdata.build_dataset(
+        spec, args.n, (args.height, args.width), args.out,
+        dt=dt, dx=args.dx, n_events=args.n_events,
+        velocity_range=(args.v_lo, args.v_hi), f0_range=f0,
+    )
     summary = {
         "task": args.task,
         "out": str(args.out),
@@ -188,76 +183,38 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        log.error("cannot read config: %s", exc)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        log.error("config is not valid JSON: %s", exc)
-        return EXIT_CONFIG
-    try:
-        cfg = resolve_config(doc)
-        tc = _train_config(cfg["train"])
-    except ValueError as exc:  # ConfigError, or a range check of the train dataclasses
-        log.error("%s", exc)
-        return EXIT_CONFIG
+    cfg = resolve_config(json.loads(Path(args.config).read_text()))
+    tc = _train_config(cfg["train"])
 
     data_dir = Path(cfg["data"]["dir"])
-    try:
-        train_set = seisdata.load_split(data_dir, "train")
-        val_set = seisdata.load_split(data_dir, "val")
-    except (OSError, ValueError) as exc:
-        log.error("cannot load dataset from %s: %s", data_dir, exc)
-        return EXIT_CONFIG
+    train_set = _load_split(data_dir, "train")
+    val_set = _load_split(data_dir, "val")
     if cfg["data"]["task"] and cfg["data"]["task"] != train_set.task:
-        log.error("config expects task %r but dataset is %r", cfg["data"]["task"], train_set.task)
-        return EXIT_CONFIG
+        raise ConfigError(f"config expects task {cfg['data']['task']!r} but dataset is {train_set.task!r}")
 
     family = cfg["model"]["family"]
     expected_family = "unet" if train_set.task == "lfe" else "qcgan"
     if family != expected_family:
-        log.error("task %r needs model family %r, config says %r", train_set.task, expected_family, family)
-        return EXIT_CONFIG
+        raise ConfigError(f"task {train_set.task!r} needs model family {expected_family!r}, "
+                          f"config says {family!r}")
 
     out_dir = Path(cfg["train"]["out_dir"])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "resolved_config.json", "w") as fh:
-            json.dump(cfg, fh, indent=2, sort_keys=True)
-    except OSError as exc:
-        log.error("cannot write to output dir %s: %s", out_dir, exc)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "resolved_config.json", "w") as fh:
+        json.dump(cfg, fh, indent=2, sort_keys=True)
 
-    resume = None
-    if args.resume:
-        try:
-            resume = trainer.load_checkpoint(args.resume)
-        except trainer.CheckpointError as exc:
-            log.error("%s", exc)
-            return EXIT_MISMATCH
-
+    resume = trainer.load_checkpoint(args.resume) if args.resume else None
     patch = train_set.patch_shape
     init_seed = cfg["model"]["init_seed"]
-    try:
-        if family == "qcgan":
-            gcfg, dcfg = _model_configs(cfg["model"], patch, family)
-            gen = mdl.Generator(gcfg, init_seed=init_seed)
-            disc = mdl.Discriminator(dcfg, init_seed=init_seed + 1)
-            history = trainer.train_gan(gen, disc, train_set, val_set, tc, out_dir, resume=resume)
-        else:
-            ucfg = _model_configs(cfg["model"], patch, family)
-            model = mdl.UNet(ucfg, init_seed=init_seed)
-            history = trainer.train_unet(model, train_set, val_set, tc, out_dir, resume=resume)
-    except trainer.TrainingDivergedError as exc:
-        log.error("training diverged: %s", exc)
-        return EXIT_DIVERGED
-    except trainer.CheckpointError as exc:
-        log.error("%s", exc)
-        return EXIT_MISMATCH
-    except ValueError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
+    if family == "qcgan":
+        gcfg, dcfg = _model_configs(cfg["model"], patch, family)
+        gen = mdl.Generator(gcfg, init_seed=init_seed)
+        disc = mdl.Discriminator(dcfg, init_seed=init_seed + 1)
+        history = trainer.train_gan(gen, disc, train_set, val_set, tc, out_dir, resume=resume)
+    else:
+        ucfg = _model_configs(cfg["model"], patch, family)
+        model = mdl.UNet(ucfg, init_seed=init_seed)
+        history = trainer.train_unet(model, train_set, val_set, tc, out_dir, resume=resume)
 
     val_rows = [row for row in history if row[1] == "val"]
     summary = {
@@ -310,21 +267,9 @@ def _dump_spectra(out_dir: Path, index: int, target, degraded, predicted, dt: fl
 
 
 def cmd_eval(args) -> int:
-    try:
-        ckpt = trainer.load_checkpoint(args.checkpoint)
-    except trainer.CheckpointError as exc:
-        log.error("%s", exc)
-        return EXIT_MISMATCH
-    try:
-        test_set = seisdata.load_split(args.data, "test")
-    except (OSError, ValueError) as exc:
-        log.error("cannot load dataset: %s", exc)
-        return EXIT_IO
-    try:
-        model = _restore_eval_model(ckpt, test_set.task)
-    except trainer.CheckpointError as exc:
-        log.error("%s", exc)
-        return EXIT_MISMATCH
+    ckpt = trainer.load_checkpoint(args.checkpoint)
+    test_set = _load_split(args.data, "test")
+    model = _restore_eval_model(ckpt, test_set.task)
 
     report = EvalReport(task=test_set.task)
     predictions = np.empty_like(test_set.targets)
@@ -335,22 +280,17 @@ def cmd_eval(args) -> int:
                 pred = model(ag.Tensor(test_set.degraded[sl][:, None]))
                 predictions[sl] = pred.data[:, 0]
     except ag.ShapeError as exc:
-        log.error("checkpoint and dataset are incompatible: %s", exc)
-        return EXIT_MISMATCH
+        raise trainer.CheckpointError(f"checkpoint and dataset are incompatible: {exc}") from exc
     for i in range(len(test_set)):
         report.add_sample(test_set.targets[i], predictions[i])
 
-    try:
-        report.to_csv(args.report)
-        if args.spectra_dir:
-            spectra_dir = Path(args.spectra_dir)
-            spectra_dir.mkdir(parents=True, exist_ok=True)
-            for i in range(len(test_set)):
-                _dump_spectra(spectra_dir, i, test_set.targets[i], test_set.degraded[i],
-                              predictions[i], test_set.dt, test_set.dx)
-    except OSError as exc:
-        log.error("cannot write report: %s", exc)
-        return EXIT_IO
+    report.to_csv(args.report)
+    if args.spectra_dir:
+        spectra_dir = Path(args.spectra_dir)
+        spectra_dir.mkdir(parents=True, exist_ok=True)
+        for i in range(len(test_set)):
+            _dump_spectra(spectra_dir, i, test_set.targets[i], test_set.degraded[i],
+                          predictions[i], test_set.dt, test_set.dx)
     print(json.dumps({"samples": report.count, "aggregate": report.aggregate(),
                       "report": str(args.report)}, sort_keys=True))
     return EXIT_OK
@@ -418,6 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each fault a command raises; the first matching class wins
+_EXIT_CODES = {
+    trainer.TrainingDivergedError: EXIT_DIVERGED,
+    trainer.CheckpointError: EXIT_MISMATCH,
+    OSError: EXIT_IO,
+    ValueError: EXIT_CONFIG,  # also ConfigError, JSONDecodeError and UnicodeDecodeError
+}
+
+
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -425,9 +374,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         log.error("%s", exc)
-        return EXIT_CONFIG
+        return next(code for fault, code in _EXIT_CODES.items() if isinstance(exc, fault))
 
 
 if __name__ == "__main__":

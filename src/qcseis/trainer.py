@@ -403,7 +403,7 @@ class _DivergenceGuard:
         self.streak += 1
         if self.streak >= self.limit:
             raise TrainingDivergedError(
-                f"loss was non-finite for {self.streak} consecutive steps"
+                f"training diverged: loss was non-finite for {self.streak} consecutive steps"
             )
 
 

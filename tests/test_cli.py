@@ -23,6 +23,22 @@ def run_cli(args):
     return cli.main(args)
 
 
+def run_module(args):
+    """`python -m qcseis.cli` in a subprocess, so that a traceback shows on its stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qcseis.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def assert_exit(proc, code):
+    """The process ended in `code` after one ERROR line and no traceback."""
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1, proc.stderr
+
+
 class TestGenData:
     def test_split_counts(self, tmp_path, capsys):
         code = run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "d"),
@@ -155,6 +171,14 @@ class TestTrainCommand:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(doc))
         assert run_cli(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+
+    def test_eval_section_rejected(self, small_dataset, tmp_path):
+        doc = train_config(small_dataset, tmp_path / "o")
+        doc["eval"] = {"report": str(tmp_path / "r.csv")}
+        config = tmp_path / "eval_section.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
     def test_missing_dataset_rejected(self, tmp_path):
         config = tmp_path / "no_data.json"
@@ -412,7 +436,108 @@ class TestBadDataValues:
         data = self.corrupt_copy(small_dataset, tmp_path, "test", name)
         code = run_cli(["eval", "--checkpoint", str(trained), "--data", str(data),
                         "--report", str(tmp_path / "r.csv")])
-        assert code == cli.EXIT_IO
+        assert code == cli.EXIT_CONFIG
+
+    def test_eval_missing_dir(self, trained, tmp_path):
+        code = run_cli(["eval", "--checkpoint", str(trained), "--data", str(tmp_path / "nowhere"),
+                        "--report", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_CONFIG
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """The smallest dataset gen-data writes: one 8x8 patch in test.seis, 561 bytes."""
+    root = tmp_path_factory.mktemp("cli_tiny")
+    assert cli.main(["gen-data", "--task", "denoise", "--out", str(root),
+                     "--n", "10", "--height", "8", "--width", "8"]) == 0
+    return root
+
+
+SEIS_HEADER_BYTES = 41
+# flipping every bit of a dt or dx byte below the sign byte leaves a positive finite value
+LOADING_FLIPS = set(range(24, 31)) | set(range(32, 39))
+
+
+def copy_dataset(src: Path, data: Path) -> Path:
+    data.mkdir()
+    for p in src.glob("*.seis"):
+        (data / p.name).write_bytes(p.read_bytes())
+    return data
+
+
+def flipped(raw: bytes, offset: int) -> bytes:
+    bad = bytearray(raw)
+    bad[offset] ^= 0xFF
+    return bytes(bad)
+
+
+class TestSeisSweep:
+    """Every header byte flipped and every truncation of a small .seis file."""
+
+    def test_load_seis_loads_or_raises_value_error(self, tiny_dataset, tmp_path):
+        raw = (tiny_dataset / "test.seis").read_bytes()
+        assert len(raw) == 561
+        path = tmp_path / "test.seis"
+        loaded = set()
+        for offset in range(SEIS_HEADER_BYTES):
+            path.write_bytes(flipped(raw, offset))
+            try:
+                seisdata.load_seis(path)
+            except ValueError:
+                continue
+            loaded.add(offset)
+        assert loaded == LOADING_FLIPS
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(ValueError):
+                seisdata.load_seis(path)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_exit_config(self, tiny_dataset, trained, tmp_path, command):
+        raw = (tiny_dataset / "test.seis").read_bytes()
+        cases = [flipped(raw, offset) for offset in range(SEIS_HEADER_BYTES)
+                 if offset not in LOADING_FLIPS]
+        cases += [raw[:size] for size in [*range(0, len(raw), 40), SEIS_HEADER_BYTES]]
+        data = copy_dataset(tiny_dataset, tmp_path / "data")
+        if command == "train":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(train_config(data, tmp_path / "out", epochs=1)))
+            argv, split = ["train", "--config", str(config)], "train"
+        else:
+            argv = ["eval", "--checkpoint", str(trained), "--data", str(data),
+                    "--report", str(tmp_path / "r.csv")]
+            split = "test"
+        for bad in cases:
+            (data / f"{split}.seis").write_bytes(bad)
+            assert run_cli(argv) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists() and not (tmp_path / "r.csv").exists()
+
+
+class TestNoTraceback:
+    """Faults that once ended in a traceback end in their documented code."""
+
+    def test_config_not_utf8(self, small_dataset, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b"\xff\xfe" + json.dumps(train_config(small_dataset, tmp_path / "o")).encode())
+        assert_exit(run_module(["train", "--config", str(config)]), cli.EXIT_CONFIG)
+
+    def test_os_error_during_training(self, small_dataset, tmp_path):
+        out_dir = tmp_path / "out"
+        (out_dir / "history.csv").mkdir(parents=True)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(train_config(small_dataset, out_dir, epochs=1)))
+        assert_exit(run_module(["train", "--config", str(config)]), cli.EXIT_IO)
+
+    def test_eval_flat_target_patch(self, trained, small_dataset, tmp_path):
+        data = copy_dataset(small_dataset, tmp_path / "data")
+        test = seisdata.load_split(data, "test")
+        targets = test.targets.copy()
+        targets[0] = 0.0
+        seisdata.save_seis(data / "test.seis", seisdata.SeismicDataset(
+            targets, test.degraded, test.masks, test.dt, test.dx, test.task))
+        proc = run_module(["eval", "--checkpoint", str(trained), "--data", str(data),
+                           "--report", str(tmp_path / "r.csv")])
+        assert_exit(proc, cli.EXIT_CONFIG)
 
 
 class TestSelftestCommand:
