@@ -1,8 +1,9 @@
 """Synthetic shot gathers, degradation protocols, and on-disk datasets.
 
 Gathers are sums of hyperbolic reflection events convolved with Ricker
-wavelets. Three degradation families are provided: trace masking (random
-or regular), additive Gaussian noise, and a band-split that pairs a
+wavelets by a real FFT along the time axis, zero-padded to a 5-smooth
+length. Three degradation families are provided: trace masking (random or
+regular), additive Gaussian noise, and a band-split that pairs a
 band-limited input with its low-frequency complement. Datasets persist in
 the little-endian SEIS container described in `save_seis`, written through
 `replacing` (shared with the trainer's files) so a failed write never
@@ -18,7 +19,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 __all__ = [
     "TASKS",
@@ -115,6 +115,36 @@ def ricker(f0: float, dt: float, half_width: float) -> np.ndarray:
     return (1.0 - 2.0 * arg) * np.exp(-arg)
 
 
+def _smooth_len(n: int) -> int:
+    """The smallest integer >= n with no prime factor above 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _convolve_time(spikes: np.ndarray, wavelet: np.ndarray) -> np.ndarray:
+    """Convolve each trace (column) of `spikes` with `wavelet`, centered to the input length.
+
+    The padded length is the one scipy.signal.fftconvolve picks for real
+    input, so the result matches it bit for bit and datasets keep their bytes.
+    """
+    t, length = spikes.shape[0], wavelet.shape[0]
+    n = _smooth_len(t + length - 1)
+    spectrum = np.fft.rfft(spikes, n, axis=0) * np.fft.rfft(wavelet, n)[:, None]
+    start = (length - 1) // 2
+    return np.fft.irfft(spectrum, n, axis=0)[start:start + t]
+
+
+def _check_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def synth_gather(
     t_samples: int,
     s_traces: int,
@@ -130,10 +160,17 @@ def synth_gather(
 
     Each event draws its apex time, velocity, amplitude, and wavelet
     frequency from the seeded generator; events whose hyperbola misses the
-    time window entirely are redrawn (up to 100 tries).
+    time window entirely are redrawn (up to 100 tries). Raises ValueError
+    for a dt or dx that is not positive and finite, and for a velocity or
+    f0 range that is not finite with 0 < lo <= hi.
     """
     if n_events < 1:
         raise ValueError("need at least one event")
+    _check_positive("dt", dt)
+    _check_positive("dx", dx)
+    for name, (lo, hi) in (("velocity range", velocity_range), ("f0 range", f0_range)):
+        if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
+            raise ValueError(f"{name} must be finite with 0 < lo <= hi, got ({lo}, {hi})")
     rng = np.random.default_rng(seed)
     duration = t_samples * dt
     offsets = np.arange(s_traces) * dx
@@ -154,7 +191,7 @@ def synth_gather(
         spikes = np.zeros((t_samples, s_traces))
         spikes[idx[inside], np.nonzero(inside)[0]] = amp
         wavelet = ricker(f0, dt, 2.0 / f0)
-        data += fftconvolve(spikes, wavelet[:, None], mode="same")
+        data += _convolve_time(spikes, wavelet)
     peak = np.max(np.abs(data))
     if peak > 0:
         data /= peak
@@ -278,10 +315,8 @@ class SeismicDataset:
             raise ValueError("mask stack must be [n_patches, n_traces]")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        for name in ("dt", "dx"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        _check_positive("dt", self.dt)
+        _check_positive("dx", self.dx)
         if not (np.isfinite(self.targets).all() and np.isfinite(self.degraded).all()):
             raise ValueError("patch stacks contain non-finite samples")
         if (self.masks > 1).any():

@@ -23,12 +23,16 @@ def run_cli(args):
     return cli.main(args)
 
 
-def run_module(args):
-    """`python -m qcseis.cli` in a subprocess, so that a traceback shows on its stderr."""
+def run_python(args):
+    """A fresh interpreter that imports this qcseis, with its stdout and stderr captured."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "qcseis.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_module(args):
+    """`python -m qcseis.cli` in a subprocess, so that a traceback shows on its stderr."""
+    return run_python(["-m", "qcseis.cli", *args])
 
 
 def assert_exit(proc, code):
@@ -62,6 +66,18 @@ class TestGenData:
         assert run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "x"),
                         "--n", "10", "--height", "32", "--width", "32", "--dx", "-25"]) == cli.EXIT_CONFIG
         assert not list((tmp_path / "x").glob("*.seis"))
+
+    def test_no_scipy_in_process(self, tmp_path):
+        """A fresh qcseis process that generates every task never loads scipy."""
+        runs = "\n".join(
+            f"assert cli.main(['gen-data', '--task', {task!r}, '--out', {str(tmp_path / task)!r}, "
+            f"'--n', '10', '--height', '16', '--width', '16']) == 0"
+            for task in seisdata.TASKS)
+        code = ("import sys\nfrom qcseis import cli\n" + runs +
+                "\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        proc = run_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QCSEIS_SEED", "77")
@@ -538,6 +554,20 @@ class TestNoTraceback:
         proc = run_module(["eval", "--checkpoint", str(trained), "--data", str(data),
                            "--report", str(tmp_path / "r.csv")])
         assert_exit(proc, cli.EXIT_CONFIG)
+
+    @pytest.mark.parametrize("flags", [
+        ["--v-lo", "0", "--v-hi", "0"],
+        ["--v-lo", "-1", "--v-hi", "2000"],
+        ["--dx", "nan"],
+        ["--dt", "0"],
+        ["--dt", "nan"],
+        ["--f0-lo", "0", "--f0-hi", "0"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_gen_data_bad_physics(self, tmp_path, flags):
+        proc = run_module(["gen-data", "--task", "denoise", "--out", str(tmp_path / "d"),
+                           "--n", "10", "--height", "8", "--width", "8", *flags])
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert not list(tmp_path.rglob("*.seis"))
 
 
 class TestSelftestCommand:

@@ -59,6 +59,32 @@ class TestSynthGather:
             sd.synth_gather(64, 32, 0.004, 25.0, 0)
 
 
+class TestConvolution:
+    """The real-FFT convolution against scipy's fftconvolve, the reference, bit for bit."""
+
+    def test_matches_fftconvolve_bitwise(self):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(0)
+        wavelets = [sd.ricker(f0, dt, 2.0 / f0) for f0 in (7.0, 15.0, 30.0, 45.0)
+                    for dt in (0.002, 0.004, 0.016)]
+        for t in range(8, 161):
+            for wavelet in wavelets:
+                # one spike per trace as synth_gather places them; a row >= t misses the trace
+                rows = rng.integers(0, t + t // 2, size=8)
+                inside = rows < t
+                spikes = np.zeros((t, 8))
+                spikes[rows[inside], np.nonzero(inside)[0]] = rng.uniform(0.3, 1.0, inside.sum())
+                got = sd._convolve_time(spikes, wavelet)
+                want = signal.fftconvolve(spikes, wavelet[:, None], mode="same")
+                assert got.shape == want.shape == (t, 8)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (t, len(wavelet))
+
+    def test_smooth_len_matches_next_fast_len(self):
+        fft = pytest.importorskip("scipy.fft")
+        assert [sd._smooth_len(n) for n in range(1, 2001)] == \
+            [fft.next_fast_len(n, real=True) for n in range(1, 2001)]
+
+
 class TestMasks:
     @pytest.fixture
     def patch(self):
