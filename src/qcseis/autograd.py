@@ -11,6 +11,11 @@ runs and worker counts. Convolution is im2col plus GEMM (Chellapilla, Puri
 & Simard 2006); its im2col/col2im copies run in cache-sized blocks, and
 col2im sums each input element's kernel taps in a fixed (i, j) order from
 zero whatever the blocking, so the blocking never changes a bit.
+The backward pass consumes the graph it differentiates, as PyTorch does
+(Paszke et al. 2017): once a node's rule has run, the node drops its
+gradient and the rule, and with the rule the arrays it saved, so a second
+backward through the same graph raises. Leaf gradients still accumulate
+across separate graphs.
 """
 from __future__ import annotations
 
@@ -174,10 +179,21 @@ def _same_dtype(*tensors: Tensor):
     return dt
 
 
-def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into .grad of every reachable tensor.
+def _spent(grad):
+    """Rule of a node whose backward has run: its saved arrays are gone."""
+    raise RuntimeError("this graph was already differentiated; run the forward pass again")
 
-    Repeated calls without zero_grad keep accumulating. The root must be
+
+def backward(root: Tensor) -> None:
+    """Accumulate d(root)/d(leaf) into .grad of every reachable leaf.
+
+    The graph is consumed on the way: once a node's rule has run, the
+    node drops its gradient, its parents and its rule (with the arrays
+    the rule saved), so memory falls as backward walks from the root to
+    the inputs. Leaves (parameters and inputs) keep their .grad, and
+    repeated calls on separate graphs keep accumulating into it without
+    zero_grad. A second backward through a node already differentiated
+    raises RuntimeError before any gradient is touched. The root must be
     a scalar (single element) attached to a recorded graph.
     """
     if root.data.size != 1:
@@ -192,6 +208,8 @@ def backward(root: Tensor) -> None:
         node, parents = stack[-1]
         nxt = next(parents, None)
         if nxt is None:
+            if node._backward is _spent:
+                _spent(None)
             topo.append(node)
             stack.pop()
         elif id(nxt) not in visited:
@@ -199,16 +217,21 @@ def backward(root: Tensor) -> None:
             stack.append((nxt, iter(nxt._parents)))
 
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node._backward is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+        if node.grad is not None:
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += g
+            g = None  # the last gradient is summed in; free it before the next rule
+        node.grad = None
+        node._parents = ()
+        node._backward = _spent
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,12 @@ def _convolve_time(spikes: np.ndarray, wavelet: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, n, axis=0)[start:start + t]
 
 
+# Longest Ricker half-width synth_gather accepts, in trace lengths. Wavelet
+# samples farther than t_samples from the centre never reach the window, so
+# a longer wavelet only pads the convolution: a tiny f0 asks for petabytes.
+_MAX_HALF_WIDTH = 64
+
+
 def _check_positive(name: str, value) -> None:
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -161,8 +167,10 @@ def synth_gather(
     Each event draws its apex time, velocity, amplitude, and wavelet
     frequency from the seeded generator; events whose hyperbola misses the
     time window entirely are redrawn (up to 100 tries). Raises ValueError
-    for a dt or dx that is not positive and finite, and for a velocity or
-    f0 range that is not finite with 0 < lo <= hi.
+    for a dt or dx that is not positive and finite, for a velocity or f0
+    range that is not finite with 0 < lo <= hi, and for an f0 so low that
+    the wavelet's half-width, 2/(f0*dt) samples, exceeds
+    _MAX_HALF_WIDTH * t_samples.
     """
     if n_events < 1:
         raise ValueError("need at least one event")
@@ -171,6 +179,9 @@ def synth_gather(
     for name, (lo, hi) in (("velocity range", velocity_range), ("f0 range", f0_range)):
         if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
             raise ValueError(f"{name} must be finite with 0 < lo <= hi, got ({lo}, {hi})")
+    if 2.0 > f0_range[0] * dt * _MAX_HALF_WIDTH * t_samples:  # no division: f0*dt may underflow
+        raise ValueError(f"f0 {f0_range[0]} Hz at dt {dt} s gives a wavelet half-width over "
+                         f"{_MAX_HALF_WIDTH} x {t_samples} samples")
     rng = np.random.default_rng(seed)
     duration = t_samples * dt
     offsets = np.arange(s_traces) * dx

@@ -311,6 +311,32 @@ class TestBackward:
         ag.backward(ag.tsum(ag.scale(x, 3.0)))
         assert np.array_equal(x.grad, np.full(2, 6.0))
 
+    def test_second_backward_through_graph_raises(self):
+        x = t32(np.ones(2), grad=True)
+        z = ag.tsum(ag.scale(x, 3.0))
+        ag.backward(z)
+        with pytest.raises(RuntimeError, match="already differentiated"):
+            ag.backward(z)
+        assert np.array_equal(x.grad, np.full(2, 3.0))
+
+    def test_root_sharing_a_differentiated_subgraph_raises(self):
+        x, y = t32(np.ones(2), grad=True), t32(np.full(2, 5.0), grad=True)
+        shared = ag.scale(x, 2.0)
+        ag.backward(ag.tsum(shared))
+        with pytest.raises(RuntimeError, match="already differentiated"):
+            ag.backward(ag.tsum(ag.mul(shared, y)))
+        assert np.array_equal(x.grad, np.full(2, 2.0))
+        assert y.grad is None  # raised before any rule ran: no partial gradient
+
+    def test_backward_consumes_graph_and_keeps_leaf_grads(self):
+        x = t32(np.ones(2), grad=True)
+        inner = ag.scale(x, 3.0)
+        root = ag.tsum(ag.mul(inner, inner))
+        ag.backward(root)
+        for node in (inner, root):
+            assert node.grad is None and node._parents == ()
+        assert np.array_equal(x.grad, np.full(2, 18.0))
+
     def test_non_scalar_root_rejected(self):
         x = t32(np.ones(3), grad=True)
         with pytest.raises(ag.ShapeError):

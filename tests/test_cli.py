@@ -562,6 +562,7 @@ class TestNoTraceback:
         ["--dt", "0"],
         ["--dt", "nan"],
         ["--f0-lo", "0", "--f0-hi", "0"],
+        ["--f0-lo", "1e-12", "--f0-hi", "1e-12"],
     ], ids=lambda flags: " ".join(flags))
     def test_gen_data_bad_physics(self, tmp_path, flags):
         proc = run_module(["gen-data", "--task", "denoise", "--out", str(tmp_path / "d"),

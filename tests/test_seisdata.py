@@ -58,6 +58,14 @@ class TestSynthGather:
         with pytest.raises(ValueError):
             sd.synth_gather(64, 32, 0.004, 25.0, 0)
 
+    def test_wavelet_half_width_bounded_by_trace_length(self):
+        # 2/(f0*dt) samples: 510 fits 64 x 8, 515 does not
+        patch = sd.synth_gather(8, 8, 0.004, 25.0, 1, seed=1, f0_range=(0.98, 0.98))
+        assert np.all(np.isfinite(patch.data))
+        for f0, dt in ((0.97, 0.004), (1e-12, 0.004), (1e-200, 1e-200)):
+            with pytest.raises(ValueError, match="wavelet half-width"):
+                sd.synth_gather(8, 8, dt, 25.0, 1, seed=1, f0_range=(f0, f0))
+
 
 class TestConvolution:
     """The real-FFT convolution against scipy's fftconvolve, the reference, bit for bit."""

@@ -425,6 +425,63 @@ class TestGraphLifetime:
         assert survivors == [0] * len(survivors)
 
 
+def checked_backward_run(monkeypatch, train_fn) -> list:
+    """Run train_fn with every ag.backward checked right after it returns.
+
+    The column matrices of the convs in the differentiated graph must be
+    dead (their rules were dropped as backward ran, without a gc pass)
+    and no non-leaf node of that graph may still hold a gradient. Returns
+    the number of column matrices checked per backward call.
+    """
+    pending, cols_of, checked = [], {}, []
+    im2col, conv2d, backward = ag._im2col, ag.conv2d, ag.backward
+
+    def recording_im2col(*args):
+        cols, ho, wo = im2col(*args)
+        pending.append(weakref.ref(cols))
+        return cols, ho, wo
+
+    def recording_conv2d(*args, **kwargs):
+        out = conv2d(*args, **kwargs)
+        cols_of[id(out)] = pending[:]
+        pending.clear()
+        return out
+
+    def checking_backward(root):
+        nodes, stack, seen = [], [root], {id(root)}
+        while stack:
+            node = stack.pop()
+            if node._backward is not None:
+                nodes.append(node)
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        cols = [ref for node in nodes for ref in cols_of.pop(id(node), ())]
+        backward(root)
+        assert [ref() is None for ref in cols] == [True] * len(cols)
+        assert [node.grad is None for node in nodes] == [True] * len(nodes)
+        checked.append(len(cols))
+
+    monkeypatch.setattr(ag, "_im2col", recording_im2col)
+    monkeypatch.setattr(ag, "conv2d", recording_conv2d)
+    monkeypatch.setattr(ag, "backward", checking_backward)
+    train_fn(None)
+    return checked
+
+
+class TestBackwardFreesGraph:
+    """Backward frees a graph's saved arrays and gradients inside the step, not after it."""
+
+    def test_gan(self, interp_data, tmp_path, monkeypatch):
+        checked = checked_backward_run(monkeypatch, TestGraphLifetime.gan_run(interp_data, tmp_path))
+        assert len(checked) % 2 == 0 and min(checked) > 0  # backward(l_d), backward(total) per step
+
+    def test_unet(self, lfe_data, tmp_path, monkeypatch):
+        checked = checked_backward_run(monkeypatch, TestGraphLifetime.unet_run(lfe_data, tmp_path))
+        assert checked and min(checked) > 0
+
+
 class TestDivergenceGuard:
     def test_aborts_after_three_bad_steps(self):
         guard = trainer._DivergenceGuard()
