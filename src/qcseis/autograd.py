@@ -404,12 +404,11 @@ def batchnorm2d(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
-    update_running: bool = True,
 ) -> Tensor:
     """Per-channel batch normalization on [B, C, H, W].
 
-    Training mode normalizes by batch statistics and (optionally) folds
-    them into the running buffers in place; eval mode reads the buffers.
+    Training mode normalizes by batch statistics and folds them into the
+    running buffers in place; eval mode reads the buffers.
     """
     _same_dtype(x, gamma, beta)
     if x.ndim != 4:
@@ -423,11 +422,10 @@ def batchnorm2d(
             raise DegenerateBatchError("batchnorm2d needs batch size >= 2 in training mode")
         mu = xd.mean(axis=(0, 2, 3))
         var = xd.var(axis=(0, 2, 3))
-        if update_running:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu.astype(running_mean.dtype)
-            running_var *= 1.0 - momentum
-            running_var += momentum * var.astype(running_var.dtype)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu.astype(running_mean.dtype)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.astype(running_var.dtype)
     else:
         mu = running_mean.astype(xd.dtype)
         var = running_var.astype(xd.dtype)

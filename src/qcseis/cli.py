@@ -272,13 +272,8 @@ def cmd_eval(args) -> int:
     model = _restore_eval_model(ckpt, test_set.task)
 
     report = EvalReport(task=test_set.task)
-    predictions = np.empty_like(test_set.targets)
     try:
-        with ag.no_grad():
-            for start in range(0, len(test_set), 8):
-                sl = slice(start, start + 8)
-                pred = model(ag.Tensor(test_set.degraded[sl][:, None]))
-                predictions[sl] = pred.data[:, 0]
+        predictions = trainer.predict(model, test_set.degraded, 8)
     except ag.ShapeError as exc:
         raise trainer.CheckpointError(f"checkpoint and dataset are incompatible: {exc}") from exc
     for i in range(len(test_set)):

@@ -102,34 +102,22 @@ def op_check_cases(dtype=np.float32):
     """
     f = dtype
 
-    def many(build, shape_sets, prepare=None):
+    def many(build, shape_sets, args=None, prepare=None):
+        """Runner over the shape sets, set k with seed k; `args[k]` is build's second argument."""
         def run():
             worst = 0.0
             for k, shapes in enumerate(shape_sets):
-                worst = max(worst, check_op(build, shapes, dtype=f, seed=k, prepare=prepare))
+                op = build if args is None else (lambda t, _a=args[k]: build(t, _a))
+                worst = max(worst, check_op(op, shapes, dtype=f, seed=k, prepare=prepare))
             return worst
 
         return run
 
-    conv_cases = [
-        ([(1, 1, 5, 5), (1, 1, 3, 3), (1,)], dict(stride=1, padding=1)),
-        ([(2, 3, 8, 8), (4, 3, 3, 3), (4,)], dict(stride=1, padding=1)),
-        ([(1, 2, 7, 7), (3, 2, 3, 3), (3,)], dict(stride=2, padding=1)),
-        ([(2, 1, 6, 6), (2, 1, 1, 1), (2,)], dict(stride=1, padding=0)),
-        ([(1, 4, 4, 4), (2, 4, 3, 3), (2,)], dict(stride=1, padding=1)),
-    ]
-
-    def conv_run():
-        worst = 0.0
-        for k, (shapes, kw) in enumerate(conv_cases):
-            worst = max(
-                worst,
-                check_op(lambda t, _kw=kw: ag.conv2d(t[0], t[1], t[2], **_kw),
-                         shapes, dtype=f, seed=k),
-            )
-        return worst
-
-    yield "conv2d", conv_run
+    conv_shapes = [[(1, 1, 5, 5), (1, 1, 3, 3), (1,)], [(2, 3, 8, 8), (4, 3, 3, 3), (4,)],
+                   [(1, 2, 7, 7), (3, 2, 3, 3), (3,)], [(2, 1, 6, 6), (2, 1, 1, 1), (2,)],
+                   [(1, 4, 4, 4), (2, 4, 3, 3), (2,)]]
+    yield "conv2d", many(lambda t, a: ag.conv2d(t[0], t[1], t[2], *a), conv_shapes,
+                         [(1, 1), (1, 1), (2, 1), (1, 0), (1, 1)])  # (stride, padding)
 
     lin_shapes = [[(2, 3), (4, 3), (4,)], [(1, 5), (1, 5), (1,)], [(3, 2), (2, 2), (2,)],
                   [(4, 6), (3, 6), (3,)], [(2, 8), (8, 8), (8,)]]
@@ -147,7 +135,7 @@ def op_check_cases(dtype=np.float32):
         c = t[0].shape[1]
         rm = np.zeros(c, dtype=t[0].dtype)
         rv = np.ones(c, dtype=t[0].dtype)
-        return ag.batchnorm2d(t[0], t[1], t[2], rm, rv, training=True, update_running=False)
+        return ag.batchnorm2d(t[0], t[1], t[2], rm, rv, training=True)
 
     def bn_eval(t):
         c = t[0].shape[1]
@@ -158,17 +146,8 @@ def op_check_cases(dtype=np.float32):
     yield "batchnorm2d_train", many(bn_train, bn_shapes)
     yield "batchnorm2d_eval", many(bn_eval, bn_shapes)
 
-    ps_cases = [(2, [(1, 4, 2, 2)]), (2, [(2, 4, 3, 3)]), (2, [(1, 8, 2, 4)]),
-                (2, [(2, 16, 2, 2)]), (3, [(1, 9, 2, 2)])]
-
-    def ps_run():
-        worst = 0.0
-        for k, (r, shapes) in enumerate(ps_cases):
-            worst = max(worst, check_op(lambda t, _r=r: ag.pixel_shuffle(t[0], _r),
-                                        shapes, dtype=f, seed=k))
-        return worst
-
-    yield "pixel_shuffle", ps_run
+    ps_shapes = [[(1, 4, 2, 2)], [(2, 4, 3, 3)], [(1, 8, 2, 4)], [(2, 16, 2, 2)], [(1, 9, 2, 2)]]
+    yield "pixel_shuffle", many(lambda t, r: ag.pixel_shuffle(t[0], r), ps_shapes, [2, 2, 2, 2, 3])
 
     split_shapes = [[(1, 4, 2, 2)], [(2, 3, 3, 3)], [(1, 6, 2, 4)], [(2, 2, 5, 5)], [(3, 8, 2, 2)]]
     yield "split_concat", many(
@@ -207,14 +186,6 @@ def op_check_cases(dtype=np.float32):
     yield "maxpool2d", many(lambda t: ag.maxpool2d(t[0], 2), pool_shapes)
     yield "avgpool2d", many(lambda t: ag.avgpool2d(t[0], 2), pool_shapes)
 
-    up_cases = [((1, 2), [(1, 1, 3, 2)]), ((2, 2), [(2, 2, 2, 3)]), ((1, 4), [(1, 2, 2, 2)]),
-                ((3, 1), [(2, 1, 2, 4)]), ((2, 4), [(1, 1, 3, 3)])]
-
-    def up_run():
-        worst = 0.0
-        for k, (factors, shapes) in enumerate(up_cases):
-            worst = max(worst, check_op(lambda t, _fc=factors: ag.nearest_upsample(t[0], _fc),
-                                        shapes, dtype=f, seed=k))
-        return worst
-
-    yield "nearest_upsample", up_run
+    up_shapes = [[(1, 1, 3, 2)], [(2, 2, 2, 3)], [(1, 2, 2, 2)], [(2, 1, 2, 4)], [(1, 1, 3, 3)]]
+    yield "nearest_upsample", many(lambda t, fc: ag.nearest_upsample(t[0], fc), up_shapes,
+                                   [(1, 2), (2, 2), (1, 4), (3, 1), (2, 4)])

@@ -12,7 +12,8 @@ The three families share one design, declared once: `NetConfig` holds
 the settings and defaults they have in common (width, quantum split,
 circuits, patch size), and `_Network` owns the config, the kept pairs and
 the architecture dict that checkpoints record. Each family adds only its
-own fields, its layers and its forward pass.
+own fields, its layers and its forward pass. `arch_signature` is the part
+of that dict a checkpoint is checked on: the fields the family reads.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ __all__ = [
     "Generator",
     "Discriminator",
     "UNet",
-    "collect_complementarity_pairs",
     "count_trainable_parameters",
+    "arch_signature",
     "build_model",
 ]
 
@@ -313,12 +314,9 @@ class NetConfig:
 @dataclass
 class GeneratorConfig(NetConfig):
     blocks: int = 4
-    upsample_factor: int = 2
 
     def __post_init__(self):
         super().__post_init__()
-        if self.upsample_factor != 2:
-            raise ValueError("the upsample factor is fixed at 2")
         if self.blocks < 1 or self.base_channels < 2:
             raise ValueError("need at least one block and two base channels")
 
@@ -335,12 +333,7 @@ class DiscriminatorConfig(NetConfig):
 
 @dataclass
 class UNetConfig(NetConfig):
-    levels: int = 3
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.levels != 3:
-            raise ValueError("the encoder depth is fixed at 3 levels")
+    """The UNet reads only the shared settings."""
 
 
 class _Network(Module):
@@ -348,6 +341,8 @@ class _Network(Module):
 
     family: str  # the name checkpoints record
     config_type: type
+    unread = ()  # config fields the layers never read, so checkpoints are not checked on them
+    retired = {}  # fields older checkpoints record, each with the one value it could take
 
     def __init__(self, cfg: NetConfig):
         super().__init__()
@@ -369,6 +364,8 @@ class Generator(_Network):
 
     family = "generator"
     config_type = GeneratorConfig
+    unread = ("patch_height", "patch_width")
+    retired = {"upsample_factor": 2}
 
     def __init__(self, cfg: GeneratorConfig, init_seed: int = 0, dtype=np.float32):
         super().__init__(cfg)
@@ -386,8 +383,7 @@ class Generator(_Network):
                 for l in range(cfg.blocks)
             ]
         )
-        r = cfg.upsample_factor
-        self.up_conv = Conv2d(c0, r * r, 3, rng, padding=1, dtype=dtype)
+        self.up_conv = Conv2d(c0, 4, 3, rng, padding=1, dtype=dtype)  # one channel per 2x2 sub-pixel
         self.out_conv = Conv2d(1, 1, 3, rng, padding=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -406,7 +402,7 @@ class Generator(_Network):
             if block.pair is not None:
                 pairs.append(block.pair)
         h = ag.add(x0, h)
-        up = ag.pixel_shuffle(self.up_conv(h), self.cfg.upsample_factor)
+        up = ag.pixel_shuffle(self.up_conv(h), 2)
         self._pairs = pairs
         return self.out_conv(up)
 
@@ -493,6 +489,8 @@ class UNet(_Network):
 
     family = "unet"
     config_type = UNetConfig
+    unread = ("patch_height", "patch_width")
+    retired = {"levels": 3}
 
     def __init__(self, cfg: UNetConfig, init_seed: int = 0, dtype=np.float32):
         super().__init__(cfg)
@@ -545,11 +543,6 @@ class UNet(_Network):
         return self.out_conv(d1)
 
 
-def collect_complementarity_pairs(model) -> list:
-    """Pre-concatenation (classical, quantum) feature pairs of the last forward."""
-    return model.complementarity_pairs
-
-
 def count_trainable_parameters(model: Module) -> int:
     return sum(p.tensor.size for p in model.trainable_parameters())
 
@@ -557,10 +550,26 @@ def count_trainable_parameters(model: Module) -> int:
 _FAMILIES = {cls.family: cls for cls in (Generator, Discriminator, UNet)}
 
 
-def build_model(arch: dict, init_seed: int = 0):
-    """Instantiate a model from its architecture dict (see arch_config)."""
+def _resolve(arch: dict):
+    """(family class, config fields) of an arch dict, with its retired fields checked and dropped."""
     family = arch.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
     cls = _FAMILIES[family]
-    return cls(cls.config_type(**arch["config"]), init_seed=init_seed)
+    config = dict(arch["config"])
+    for key, value in cls.retired.items():
+        if config.pop(key, value) != value:
+            raise ValueError(f"{family} {key} can only be {value}, got {arch['config'][key]!r}")
+    return cls, config
+
+
+def arch_signature(arch: dict) -> dict:
+    """What a checkpoint's arch dict must match: the family and the config fields it reads."""
+    cls, config = _resolve(arch)
+    return {"family": cls.family, "config": {k: v for k, v in config.items() if k not in cls.unread}}
+
+
+def build_model(arch: dict, init_seed: int = 0):
+    """Instantiate a model from its architecture dict (see arch_config)."""
+    cls, config = _resolve(arch)
+    return cls(cls.config_type(**config), init_seed=init_seed)

@@ -2,8 +2,8 @@
 
 Losses operate on autograd tensors and are differentiable; metrics and
 spectra are plain numpy. PSNR uses the amplitude convention
-20*log10(MAX/RMSE); the literal 10*log10 reading is also exposed so the
-two can be compared side by side in the self-test report.
+20*log10(MAX/RMSE); the self-test's `psnr_convention` check shows why the
+literal 10*log10 reading cannot match the paper's figures.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "mae",
     "rmse",
     "psnr",
-    "psnr_literal",
     "ssim",
     "amplitude_spectrum",
     "fk_spectrum",
@@ -129,15 +128,6 @@ def psnr(y, y_hat) -> float:
     if err == 0.0:
         return float("inf")
     return float(20.0 * np.log10(np.max(np.abs(y)) / err))
-
-
-def psnr_literal(y, y_hat) -> float:
-    """The 10*log10(MAX/RMSE) reading, kept only for convention comparison."""
-    y, y_hat = _paired(y, y_hat)
-    err = rmse(y, y_hat)
-    if err == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(np.max(np.abs(y)) / err))
 
 
 def ssim(y, y_hat) -> float:

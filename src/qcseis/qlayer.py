@@ -192,14 +192,8 @@ def quantum_forward(x, circuits, cfg: QuantumLayerConfig, workers: int | None = 
     return fmap.transpose(1, 0, 2, 3)
 
 
-def quantum_input_grad(
-    upstream: np.ndarray,
-    x_shape: tuple,
-    rows: np.ndarray,
-    circuits,
-    cfg: QuantumLayerConfig,
-    workers: int | None = None,
-) -> np.ndarray:
+def quantum_input_grad(upstream: np.ndarray, x_shape: tuple, rows: np.ndarray, circuits,
+                       cfg: QuantumLayerConfig) -> np.ndarray:
     """Input gradient of quantum_forward in closed form.
 
     `rows` must be the scaled window matrix saved from the forward pass.
@@ -236,15 +230,15 @@ def quantum_input_grad(
     return grad
 
 
-def quantum_conv(x: ag.Tensor, circuits, cfg: QuantumLayerConfig, workers: int | None = None) -> ag.Tensor:
+def quantum_conv(x: ag.Tensor, circuits, cfg: QuantumLayerConfig) -> ag.Tensor:
     """Autograd-integrated quantum feature layer on a [B, C, T, S] tensor."""
     arr = x.data.astype(np.float64, copy=False)
     rows = unfold(arr, cfg) * cfg.input_scale
-    out = quantum_forward(arr, circuits, cfg, workers=workers).astype(x.data.dtype)
+    out = quantum_forward(arr, circuits, cfg).astype(x.data.dtype)
     shape = x.shape
 
     def bwd(g):
-        gin = quantum_input_grad(g.astype(np.float64), shape, rows, circuits, cfg, workers=workers)
+        gin = quantum_input_grad(g.astype(np.float64), shape, rows, circuits, cfg)
         return (gin.astype(x.data.dtype),)
 
     return ag._result(out, (x,), bwd)

@@ -41,6 +41,8 @@ TASKS = ("interpolation_random", "interpolation_regular", "denoise", "lfe")
 _SEIS_MAGIC = b"SEIS"
 _SEIS_VERSION = 1
 _HEADER = struct.Struct("<4sIQIIddB")
+# the missing-trace fractions random masking accepts, bounds included
+_MISSING_FRACTIONS = (0.3, 0.7)
 
 
 def _patch_record(t: int, s: int) -> np.dtype:
@@ -78,7 +80,7 @@ class DegradationSpec:
     """Which degradation to apply and its parameters."""
 
     task: str
-    missing_fraction_range: tuple = (0.3, 0.7)
+    missing_fraction_range: tuple = _MISSING_FRACTIONS
     regular_pattern: str = "keep2drop1"
     noise_sigma: float = 0.1
     input_band: tuple = (5.0, 10.0)
@@ -89,8 +91,9 @@ class DegradationSpec:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
         lo, hi = self.missing_fraction_range
-        if not (0.0 < lo <= hi < 1.0):
-            raise ValueError("missing fractions must satisfy 0 < lo <= hi < 1")
+        if not (_MISSING_FRACTIONS[0] <= lo <= hi <= _MISSING_FRACTIONS[1]):
+            raise ValueError(f"missing fractions must satisfy {_MISSING_FRACTIONS[0]} <= lo <= hi "
+                             f"<= {_MISSING_FRACTIONS[1]}, got ({lo}, {hi})")
         if self.regular_pattern != "keep2drop1":
             raise ValueError("only the keep-two-drop-one regular pattern is supported")
         if self.noise_sigma <= 0:
@@ -192,15 +195,16 @@ def synth_gather(
             v = rng.uniform(*velocity_range)
             amp = rng.uniform(*amp_range)
             f0 = rng.uniform(*f0_range)
-            times = np.sqrt(t0 ** 2 + (offsets / v) ** 2)
-            idx = np.round(times / dt).astype(int)
-            inside = idx < t_samples
+            with np.errstate(over="ignore"):  # a time far past the window may overflow to inf
+                times = np.sqrt(t0 ** 2 + (offsets / v) ** 2)
+                steps = np.round(times / dt)  # compared before the cast, which would wrap
+            inside = steps < t_samples
             if np.any(inside):
                 break
         else:
             raise RuntimeError("could not place an event inside the time window")
         spikes = np.zeros((t_samples, s_traces))
-        spikes[idx[inside], np.nonzero(inside)[0]] = amp
+        spikes[steps[inside].astype(int), np.nonzero(inside)[0]] = amp
         wavelet = ricker(f0, dt, 2.0 / f0)
         data += _convolve_time(spikes, wavelet)
     peak = np.max(np.abs(data))
@@ -221,8 +225,8 @@ def _unwrap(patch):
 
 def degrade_mask_random(patch, fraction: float, seed=0):
     """Zero a random `fraction` of traces; returns (degraded, keep mask)."""
-    if not 0.3 <= fraction <= 0.7:
-        raise ValueError(f"missing fraction {fraction} outside [0.3, 0.7]")
+    if not _MISSING_FRACTIONS[0] <= fraction <= _MISSING_FRACTIONS[1]:
+        raise ValueError(f"missing fraction {fraction} outside {list(_MISSING_FRACTIONS)}")
     data, wrap = _unwrap(patch)
     s = data.shape[1]
     n_drop = int(round(fraction * s))

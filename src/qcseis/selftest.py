@@ -104,10 +104,9 @@ def check_qlayer_oracle() -> CheckResult:
     obs = Observable(0)
     rng = np.random.default_rng(31)
     worst = 0.0
-    identical = True
     for shape in ((1, 1, 2, 8), (1, 2, 4, 10), (2, 4, 16, 32)):
         x = rng.normal(size=shape)
-        fast = qlayer.quantum_forward(x, circuits, cfg, workers=1)
+        fast = qlayer.quantum_forward(x, circuits, cfg)
         rows = qlayer.unfold(x, cfg) * cfg.input_scale
         ref = np.empty((len(circuits), rows.shape[0]))
         for r, row in enumerate(rows):
@@ -117,11 +116,8 @@ def check_qlayer_oracle() -> CheckResult:
         fmap = ref.reshape(len(circuits), b, c, t, -1).mean(axis=2)
         fmap = np.repeat(fmap, cfg.stride, axis=-1)[..., :s].transpose(1, 0, 2, 3)
         worst = max(worst, float(np.abs(fast - fmap).max()))
-        for workers in (2, 8):
-            identical &= bool(np.array_equal(fast, qlayer.quantum_forward(x, circuits, cfg, workers=workers)))
-    ok = worst < 1e-6 and identical
-    return CheckResult("qlayer_oracle_equivalence", ok,
-                       f"max |vectorized - scalar loop| = {worst:.3e}, workers bit-identical = {identical}")
+    return CheckResult("qlayer_oracle_equivalence", worst < 1e-6,
+                       f"max |vectorized - scalar loop| = {worst:.3e}")
 
 
 def check_metric_hand_values() -> CheckResult:

@@ -42,6 +42,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_model_state",
+    "predict",
     "train_gan",
     "train_unet",
     "HISTORY_COLUMNS",
@@ -169,8 +170,14 @@ class Checkpoint:
         return self.config[key]
 
     def require_arch(self, arch: dict) -> None:
+        """Fail unless the stored roles match `arch`'s, each on `models.arch_signature`."""
         stored = self.require("arch")
-        if stored != arch:
+        try:
+            same = stored.keys() == arch.keys() and all(
+                mdl.arch_signature(stored[role]) == mdl.arch_signature(a) for role, a in arch.items())
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint architecture is malformed: {exc!r}") from exc
+        if not same:
             raise CheckpointError(
                 "checkpoint architecture does not match the requested model: "
                 f"stored {json.dumps(stored, sort_keys=True)[:200]} ..."
@@ -377,18 +384,22 @@ def _as_batch(stack: np.ndarray, idx: np.ndarray) -> Tensor:
     return Tensor(stack[idx][:, None, :, :])
 
 
+def predict(model, degraded: np.ndarray, batch_size: int) -> np.ndarray:
+    """The model's outputs [N, T, S] for a stack of patches, run batch by batch without a graph."""
+    predictions = np.empty_like(degraded)
+    with ag.no_grad():
+        for start in range(0, len(degraded), batch_size):
+            sl = slice(start, start + batch_size)
+            predictions[sl] = model(Tensor(degraded[sl][:, None])).data[:, 0]
+    return predictions
+
+
 def _validate(model, data: SeismicDataset, batch_size: int):
     model.eval()
-    maes, rmses = [], []
-    with ag.no_grad():
-        for start in range(0, len(data), batch_size):
-            sl = slice(start, start + batch_size)
-            pred = model(Tensor(data.degraded[sl][:, None]))
-            for j in range(pred.shape[0]):
-                maes.append(mae(data.targets[sl][j], pred.data[j, 0]))
-                rmses.append(rmse(data.targets[sl][j], pred.data[j, 0]))
+    predictions = predict(model, data.degraded, batch_size)
     model.train()
-    return float(np.mean(maes)), float(np.mean(rmses))
+    return (float(np.mean([mae(y, p) for y, p in zip(data.targets, predictions)])),
+            float(np.mean([rmse(y, p) for y, p in zip(data.targets, predictions)])))
 
 
 class _DivergenceGuard:

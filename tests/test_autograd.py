@@ -179,7 +179,7 @@ class TestBatchNorm:
         x = t32(np.full((4, 2, 3, 3), 1.7))
         gamma, beta = t32(np.ones(2)), t32(np.array([0.3, -0.4]))
         out = ag.batchnorm2d(x, gamma, beta, np.zeros(2, np.float32), np.ones(2, np.float32),
-                             training=True, update_running=False)
+                             training=True)
         assert np.allclose(out.data[:, 0], 0.3, atol=1e-4)
         assert np.allclose(out.data[:, 1], -0.4, atol=1e-4)
 
@@ -190,7 +190,7 @@ class TestBatchNorm:
         raw /= raw.std(axis=(0, 2, 3), keepdims=True)
         out = ag.batchnorm2d(t32(raw), t32(np.ones(3)), t32(np.zeros(3)),
                              np.zeros(3, np.float32), np.ones(3, np.float32),
-                             training=True, update_running=False)
+                             training=True)
         assert np.max(np.abs(out.data - raw)) < 1e-4
 
     def test_batch_of_one_rejected(self):

@@ -1,7 +1,9 @@
 """Command-line interface tests: exit codes, reproducibility, config echo."""
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qcseis
 from qcseis import cli, qsim, seisdata, trainer
 from qcseis.selftest import run_selftest
 
@@ -399,6 +402,99 @@ class TestResumeErrors:
         assert code == cli.EXIT_MISMATCH
 
 
+def unet_config(data_dir, out_dir, epochs=1):
+    return {
+        "data": {"dir": str(data_dir), "task": "lfe"},
+        "model": {"family": "unet", "base_channels": 4},
+        "train": {"epochs": epochs, "batch_size": 8, "seed": 1, "checkpoint_every": 1,
+                  "out_dir": str(out_dir)},
+    }
+
+
+@pytest.fixture(scope="module")
+def unet_trained(lfe_dataset, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("unet_trained")
+    config = out_dir / "cfg.json"
+    config.write_text(json.dumps(unet_config(lfe_dataset, out_dir / "run")))
+    assert cli.main(["train", "--config", str(config)]) == 0
+    return out_dir / "run" / "last.qckp"
+
+
+# the one-value config fields that checkpoints of older versions still record
+RETIRED = {"generator": {"upsample_factor": 2}, "unet": {"levels": 3}}
+
+
+def with_retired_fields(blob):
+    config = json.loads(blob)
+    for arch in config["arch"].values():
+        arch["config"].update(RETIRED.get(arch["family"], {}))
+    return json.dumps(config, sort_keys=True).encode()
+
+
+def resume(config_doc, checkpoint, tmp_path) -> int:
+    config = tmp_path / f"resume_{Path(config_doc['train']['out_dir']).name}.json"
+    config.write_text(json.dumps(config_doc))
+    return run_cli(["train", "--config", str(config), "--resume", str(checkpoint)])
+
+
+class TestArchCompatibility:
+    """A checkpoint is checked only on the settings its families read, in their current names."""
+
+    def test_unet_resumes_on_another_patch_size(self, unet_trained, tmp_path, capsys):
+        data = tmp_path / "lfe40"
+        assert cli.main(["gen-data", "--task", "lfe", "--out", str(data), "--n", "10",
+                         "--height", "40", "--width", "40", "--seed", "2"]) == 0
+        assert resume(unet_config(data, tmp_path / "out", epochs=2), unet_trained, tmp_path) == 0
+        history = (tmp_path / "out" / "history.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in history] == ["epoch", "1", "1", "2", "2"]
+
+    def test_qcgan_refuses_another_patch_size(self, trained, tmp_path, capsys):
+        # the discriminator's fully connected head is sized by the patch
+        data = tmp_path / "interp40"
+        assert cli.main(["gen-data", "--task", "interpolation_random", "--out", str(data), "--n", "20",
+                         "--height", "40", "--width", "40", "--seed", "3"]) == 0
+        doc = train_config(data, tmp_path / "out", epochs=2)
+        assert resume(doc, trained, tmp_path) == cli.EXIT_MISMATCH
+
+    @pytest.mark.parametrize("family", ["qcgan", "unet"])
+    def test_retired_fields_evaluate_and_resume_alike(self, family, trained, unet_trained,
+                                                      small_dataset, lfe_dataset, tmp_path, capsys):
+        current, data = (trained, small_dataset) if family == "qcgan" else (unet_trained, lfe_dataset)
+        older = tmp_path / "older.qckp"
+        older.write_bytes(replace_blob(current.read_bytes(), with_retired_fields))
+        stored = trainer.load_checkpoint(older).config["arch"]["generator" if family == "qcgan" else "model"]
+        assert RETIRED[stored["family"]].items() <= stored["config"].items()
+        outputs = []
+        for name, ckpt in (("current", current), ("older", older)):
+            report = tmp_path / f"{name}.csv"
+            assert run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--report", str(report)]) == 0
+            doc = (train_config(data, tmp_path / name, epochs=2) if family == "qcgan"
+                   else unet_config(data, tmp_path / name, epochs=2))
+            assert resume(doc, ckpt, tmp_path) == 0
+            outputs.append((report.read_bytes(), (tmp_path / name / "history.csv").read_bytes(),
+                            trainer.load_checkpoint(tmp_path / name / "last.qckp").entries))
+        (report_a, history_a, entries_a), (report_b, history_b, entries_b) = outputs
+        assert report_a == report_b and history_a == history_b
+        assert entries_a.keys() == entries_b.keys()
+        assert all(np.array_equal(entries_a[k], entries_b[k]) for k in entries_a)
+
+    def test_retired_field_at_another_value_is_a_mismatch(self, trained, small_dataset, tmp_path):
+        path = tmp_path / "upsample3.qckp"
+        path.write_bytes(replace_blob(trained.read_bytes(),
+                                      set_config(("arch", "generator", "config", "upsample_factor"), 3)))
+        proc = run_module(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
+                           "--report", str(tmp_path / "r.csv")])
+        assert_exit(proc, cli.EXIT_MISMATCH)
+        doc = train_config(small_dataset, tmp_path / "out", epochs=2)
+        assert resume(doc, path, tmp_path) == cli.EXIT_MISMATCH
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(qcseis.__path__)))
+def test_public_names_exist(name):
+    module = importlib.import_module(f"qcseis.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
 def seis_value(offset, fmt, value):
     """An edit of a 32x32 .seis file that packs `value` at byte `offset`."""
     def edit(raw):
@@ -569,6 +665,16 @@ class TestNoTraceback:
                            "--n", "10", "--height", "8", "--width", "8", *flags])
         assert_exit(proc, cli.EXIT_CONFIG)
         assert not list(tmp_path.rglob("*.seis"))
+
+    @pytest.mark.parametrize("flags", [["--dx", "1e300"], ["--v-lo", "1e-300", "--v-hi", "1e-300"]],
+                             ids=lambda flags: " ".join(flags))
+    def test_gen_data_travel_time_past_int64(self, tmp_path, flags):
+        # the far traces' travel times overflow: the event misses them instead of wrapping
+        proc = run_module(["gen-data", "--task", "denoise", "--out", str(tmp_path / "d"),
+                           "--n", "10", "--height", "8", "--width", "8", *flags])
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert len(seisdata.load_split(tmp_path / "d", "train")) == 8
 
 
 class TestSelftestCommand:

@@ -134,13 +134,13 @@ class TestComplementarityPairs:
     def test_one_pair_per_block(self):
         gen = mdl.Generator(small_gen_cfg(blocks=2), init_seed=0)
         gen(make_input((2, 1, 32, 32)))
-        pairs = mdl.collect_complementarity_pairs(gen)
+        pairs = gen.complementarity_pairs
         assert len(pairs) == 2
 
     def test_pairs_before_forward_rejected(self):
         gen = mdl.Generator(small_gen_cfg(), init_seed=0)
         with pytest.raises(RuntimeError):
-            mdl.collect_complementarity_pairs(gen)
+            gen.complementarity_pairs
 
     def test_pair_spatial_dims_match(self):
         gen = mdl.Generator(small_gen_cfg(), init_seed=0)

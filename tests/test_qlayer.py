@@ -211,20 +211,6 @@ class TestQuantumBackward:
         grad = qlayer.quantum_input_grad(upstream, x.shape, rows, circuits, cfg)
         assert np.max(np.abs(grad - scalar_input_grad(upstream, x, circuits, cfg))) < 1e-6
 
-    def test_backward_worker_bit_identity(self):
-        cfg = QuantumLayerConfig(seed=4)
-        circuits = cfg.make_circuits()
-        rng = np.random.default_rng(9)
-        x_val = rng.normal(size=(2, 3, 4, 12))
-        grads = []
-        for workers in (1, 2, 8):
-            x = ag.Tensor(x_val, requires_grad=True, dtype=np.float64)
-            out = qlayer.quantum_conv(x, circuits, cfg, workers=workers)
-            ag.backward(ag.tmean(out))
-            grads.append(x.grad.copy())
-        assert np.array_equal(grads[0], grads[1])
-        assert np.array_equal(grads[0], grads[2])
-
 
 def test_conv_calls_module_functions_once(monkeypatch):
     # quantum_conv must reach both functions through qlayer's globals, where the

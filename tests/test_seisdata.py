@@ -58,6 +58,12 @@ class TestSynthGather:
         with pytest.raises(ValueError):
             sd.synth_gather(64, 32, 0.004, 25.0, 0)
 
+    @pytest.mark.parametrize("dx, velocity", [(1e300, 1500.0), (25.0, 1e-300)])
+    def test_travel_time_past_int64_misses_the_window(self, dx, velocity):
+        # trace 0 has zero offset, so only it holds the event; the far traces must not wrap
+        patch = sd.synth_gather(8, 8, 0.004, dx, 1, velocity_range=(velocity, velocity), seed=3)
+        assert np.any(patch.data[:, 0]) and not np.any(patch.data[:, 1:])
+
     def test_wavelet_half_width_bounded_by_trace_length(self):
         # 2/(f0*dt) samples: 510 fits 64 x 8, 515 does not
         patch = sd.synth_gather(8, 8, 0.004, 25.0, 1, seed=1, f0_range=(0.98, 0.98))
@@ -116,6 +122,15 @@ class TestMasks:
     def test_fraction_outside_range_rejected(self, patch):
         with pytest.raises(ValueError):
             sd.degrade_mask_random(patch, 0.2, seed=0)
+
+    @pytest.mark.parametrize("fractions", [(0.1, 0.2), (0.2, 0.5), (0.5, 0.8), (0.6, 0.4)])
+    def test_spec_rejects_fractions_masking_rejects(self, fractions):
+        with pytest.raises(ValueError, match="missing fractions"):
+            sd.DegradationSpec(task="interpolation_random", missing_fraction_range=fractions)
+
+    def test_spec_accepts_the_masking_bounds(self, tmp_path):
+        spec = sd.DegradationSpec(task="interpolation_random", missing_fraction_range=(0.3, 0.7))
+        sd.build_dataset(spec, 10, (16, 10), tmp_path)
 
     def test_regular_pattern(self):
         _, mask = sd.degrade_mask_regular(np.ones((8, 6)))
