@@ -11,11 +11,17 @@ runs and worker counts. Convolution is im2col plus GEMM (Chellapilla, Puri
 & Simard 2006); its im2col/col2im copies run in cache-sized blocks, and
 col2im sums each input element's kernel taps in a fixed (i, j) order from
 zero whatever the blocking, so the blocking never changes a bit.
-The backward pass consumes the graph it differentiates, as PyTorch does
+The graph is made of small nodes, one per recorded tensor, that hold no
+output data: only what each rule saves is kept, so an activation no rule
+reads is freed during the forward pass as soon as Python drops it. The
+backward pass consumes the graph it differentiates, as PyTorch does
 (Paszke et al. 2017): once a node's rule has run, the node drops its
 gradient and the rule, and with the rule the arrays it saved, so a second
-backward through the same graph raises. Leaf gradients still accumulate
-across separate graphs.
+backward through the same graph raises. Because each rule runs once, conv
+backward writes the column gradient into the column matrix it saved.
+Each gradient keeps the memory order of its data (conv outputs are
+NHWC-strided), since the rules' reductions follow that order. Leaf
+gradients still accumulate across separate graphs.
 """
 from __future__ import annotations
 
@@ -84,10 +90,39 @@ class no_grad:
         return False
 
 
+class _Node:
+    """Graph record of one tensor: what backward needs, never the tensor's data.
+
+    A recorded op's output holds its node, and the node holds its parents'
+    nodes, so the graph keeps an activation alive only if a rule saved it.
+    """
+
+    __slots__ = ("grad", "requires_grad", "parents", "rule", "shape", "dtype", "axes")
+
+    def __init__(self, data: np.ndarray, requires_grad: bool):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.parents = ()
+        self.rule = None
+        self.shape = data.shape
+        self.dtype = data.dtype
+        # axes from outermost to innermost in memory, the layout np.zeros_like(data)
+        # gives; None for C order. Rules reduce over the gradient in its memory order.
+        self.axes = None if data.flags.c_contiguous else tuple(
+            sorted(range(data.ndim), key=lambda i: -abs(data.strides[i])))
+
+    def zeros(self) -> np.ndarray:
+        """A zero gradient laid out as np.zeros_like(data) would be."""
+        if self.axes is None:
+            return np.zeros(self.shape, self.dtype)
+        outer_first = np.zeros([self.shape[i] for i in self.axes], self.dtype)
+        return outer_first.transpose(np.argsort(self.axes))
+
+
 class Tensor:
     """Dense n-d float array with an optional backward-graph record."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -96,10 +131,31 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = _Node(arr, bool(requires_grad))
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @property
+    def _parents(self):
+        return self._node.parents
+
+    @property
+    def _backward(self):
+        return self._node.rule
+
+    @_backward.setter
+    def _backward(self, rule):
+        self._node.rule = rule
 
     @property
     def shape(self):
@@ -165,9 +221,10 @@ def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor:
 def _result(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
     if _GradMode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+        node = out._node
+        node.requires_grad = True
+        node.parents = tuple(p._node for p in parents)
+        node.rule = backward_fn
     return out
 
 
@@ -187,51 +244,59 @@ def _spent(grad):
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into .grad of every reachable leaf.
 
-    The graph is consumed on the way: once a node's rule has run, the
-    node drops its gradient, its parents and its rule (with the arrays
-    the rule saved), so memory falls as backward walks from the root to
-    the inputs. Leaves (parameters and inputs) keep their .grad, and
-    repeated calls on separate graphs keep accumulating into it without
-    zero_grad. A second backward through a node already differentiated
-    raises RuntimeError before any gradient is touched. The root must be
-    a scalar (single element) attached to a recorded graph.
+    The graph is made of nodes that hold no output data, only what each
+    rule saved, so an activation that no rule reads is freed in the
+    forward pass as soon as Python drops it. The graph is consumed on the
+    way: once a node's rule has run, the node drops its gradient, its
+    parents and its rule (with the arrays the rule saved), so memory
+    falls as backward walks from the root to the inputs. Since no rule
+    runs twice, a rule may overwrite what it saved: conv writes its column
+    gradient into its column matrix. Each node's gradient is allocated in
+    the memory order of its data, as np.zeros_like would, because the
+    rules' reductions follow that order. Leaves (parameters and inputs)
+    keep their .grad, and repeated calls on separate graphs keep
+    accumulating into it without zero_grad. A second backward through a
+    node already differentiated raises RuntimeError before any gradient
+    is touched. The root must be a scalar (single element) attached to a
+    recorded graph.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
     if not root.requires_grad:
         raise ValueError("backward root is not connected to any recorded graph")
 
+    start = root._node
     topo = []
-    visited = {id(root)}
-    stack = [(root, iter(root._parents))]
+    visited = {start}
+    stack = [(start, iter(start.parents))]
     while stack:
         node, parents = stack[-1]
         nxt = next(parents, None)
         if nxt is None:
-            if node._backward is _spent:
+            if node.rule is _spent:
                 _spent(None)
             topo.append(node)
             stack.pop()
-        elif id(nxt) not in visited:
-            visited.add(id(nxt))
-            stack.append((nxt, iter(nxt._parents)))
+        elif nxt not in visited:
+            visited.add(nxt)
+            stack.append((nxt, iter(nxt.parents)))
 
-    root.grad = np.ones_like(root.data)
+    start.grad = np.ones_like(root.data)
     while topo:
         node = topo.pop()
-        if node._backward is None:
+        if node.rule is None:
             continue
         if node.grad is not None:
-            for parent, g in zip(node._parents, node._backward(node.grad)):
+            for parent, g in zip(node.parents, node.rule(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
+                    parent.grad = parent.zeros()
                 parent.grad += g
             g = None  # the last gradient is summed in; free it before the next rule
         node.grad = None
-        node._parents = ()
-        node._backward = _spent
+        node.parents = ()
+        node.rule = _spent
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +389,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     # output dims follow floor semantics: (H + 2p - k) // stride + 1
     cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
     wmat = weight.data.reshape(cout, -1)
-    out = cols @ wmat.T + bias.data
+    out = cols @ wmat.T
+    out += bias.data
     out = out.transpose(0, 2, 1).reshape(b, cout, ho, wo)
+    x_shape, w_shape = x.shape, weight.shape
 
     def bwd(g):
         gmat = g.reshape(b, cout, ho * wo).transpose(0, 2, 1)
-        dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(weight.shape)
+        dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
         db = g.sum(axis=(0, 2, 3))
-        dcols = gmat @ wmat
-        dx = _col2im(dcols, x.shape, kh, kw, stride, padding, ho, wo)
+        # the rule runs once, so the column matrix can take the column gradient
+        dcols = np.matmul(gmat, wmat, out=cols)
+        dx = _col2im(dcols, x_shape, kh, kw, stride, padding, ho, wo)
         return dx, dw, db
 
     return _result(out, (x, weight, bias), bwd)
@@ -476,14 +544,15 @@ def split_channels(x: Tensor, at: int) -> tuple[Tensor, Tensor]:
     c = x.shape[1]
     if not 0 < at < c:
         raise ShapeError(f"split point {at} must be inside (0, {c})")
+    shape, dtype = x.shape, x.dtype
 
     def bwd_first(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape, dtype)
         dx[:, :at] = g
         return (dx,)
 
     def bwd_second(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape, dtype)
         dx[:, at:] = g
         return (dx,)
 
@@ -510,11 +579,11 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 def flatten(x: Tensor) -> Tensor:
     """Collapse all non-batch axes: [B, ...] -> [B, F]."""
-    b = x.shape[0]
-    out = x.data.reshape(b, -1)
+    shape = x.shape
+    out = x.data.reshape(shape[0], -1)
 
     def bwd(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(shape),)
 
     return _result(out, (x,), bwd)
 
@@ -608,20 +677,22 @@ def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor
 
 
 def tsum(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum(), dtype=x.data.dtype)
+    shape, dtype = x.shape, x.dtype
+    out = np.asarray(x.data.sum(), dtype=dtype)
 
     def bwd(g):
-        return (np.full_like(x.data, g),)
+        return (np.full(shape, g, dtype),)
 
     return _result(out, (x,), bwd)
 
 
 def tmean(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.mean(), dtype=x.data.dtype)
-    n = x.data.dtype.type(x.data.size)
+    shape, dtype = x.shape, x.dtype
+    out = np.asarray(x.data.mean(), dtype=dtype)
+    n = dtype.type(x.data.size)
 
     def bwd(g):
-        return (np.full_like(x.data, g / n),)
+        return (np.full(shape, g / n, dtype),)
 
     return _result(out, (x,), bwd)
 

@@ -235,11 +235,11 @@ def quantum_conv(x: ag.Tensor, circuits, cfg: QuantumLayerConfig) -> ag.Tensor:
     arr = x.data.astype(np.float64, copy=False)
     rows = unfold(arr, cfg) * cfg.input_scale
     out = quantum_forward(arr, circuits, cfg).astype(x.data.dtype)
-    shape = x.shape
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
         gin = quantum_input_grad(g.astype(np.float64), shape, rows, circuits, cfg)
-        return (gin.astype(x.data.dtype),)
+        return (gin.astype(dtype),)
 
     return ag._result(out, (x,), bwd)
 

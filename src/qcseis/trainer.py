@@ -170,18 +170,34 @@ class Checkpoint:
         return self.config[key]
 
     def require_arch(self, arch: dict) -> None:
-        """Fail unless the stored roles match `arch`'s, each on `models.arch_signature`."""
+        """Fail unless the stored roles match `arch`'s, each on `models.arch_signature`.
+
+        The error names every role and field that differs, with both values.
+        """
         stored = self.require("arch")
         try:
-            same = stored.keys() == arch.keys() and all(
-                mdl.arch_signature(stored[role]) == mdl.arch_signature(a) for role, a in arch.items())
+            signatures = [{role: mdl.arch_signature(a) for role, a in side.items()} for side in (stored, arch)]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint architecture is malformed: {exc!r}") from exc
-        if not same:
+        differences = _arch_differences(*signatures)
+        if differences:
             raise CheckpointError(
-                "checkpoint architecture does not match the requested model: "
-                f"stored {json.dumps(stored, sort_keys=True)[:200]} ..."
-            )
+                "checkpoint architecture does not match the requested model: " + "; ".join(differences))
+
+
+def _arch_differences(stored: dict, requested: dict) -> list:
+    """'role.field: stored X, requested Y' for each field where two role -> signature maps differ."""
+    differences = []
+    for role in sorted(stored.keys() | requested.keys()):
+        if role not in requested or role not in stored:
+            differences.append(f"{role}: {'stored' if role in stored else 'requested'} only")
+            continue
+        a, b = ({"family": sig["family"], **sig["config"]} for sig in (stored[role], requested[role]))
+        for field in sorted(a.keys() | b.keys()):
+            if field not in a or field not in b or a[field] != b[field]:
+                differences.append(f"{role}.{field}: stored {json.dumps(a.get(field))}, "
+                                   f"requested {json.dumps(b.get(field))}")
+    return differences
 
 
 def _iter_state_entries(role: str, model: mdl.Module):

@@ -1,4 +1,6 @@
 """Autograd engine tests: hand examples, FD checks, backward semantics."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,159 @@ class TestBackward:
         x = rng.normal(size=257).astype(np.float32)
         values = {float(ag.tsum(t32(x)).data) for _ in range(5)}
         assert len(values) == 1
+
+
+def conv_block_inputs(seed, b=4, cin=3, c=16, size=12):
+    """Input, weights and output weighting of conv -> batchnorm -> prelu -> conv,
+    as in the models' blocks."""
+    rng = np.random.default_rng(seed)
+    x = t32(rng.normal(size=(b, cin, size, size)), grad=True)
+    params = {
+        "w1": t32(rng.normal(size=(c, cin, 3, 3)) * 0.2, grad=True),
+        "b1": t32(rng.normal(size=c) * 0.1, grad=True),
+        "gamma": t32(1.0 + rng.normal(size=c) * 0.1, grad=True),
+        "beta": t32(rng.normal(size=c) * 0.1, grad=True),
+        "alpha": t32(np.full(c, 0.25), grad=True),
+        "w2": t32(rng.normal(size=(c, c, 3, 3)) * 0.1, grad=True),
+        "b2": t32(rng.normal(size=c) * 0.1, grad=True),
+    }
+    return x, params, t32(rng.normal(size=(b, c, size, size)))
+
+
+def conv_block(x, p, weights):
+    """Tensors of conv -> batchnorm -> prelu -> conv -> weighted sum, in creation order."""
+    c = p["b1"].shape[0]
+    out = ag.conv2d(x, p["w1"], p["b1"], 1, 1)
+    norm = ag.batchnorm2d(out, p["gamma"], p["beta"], np.zeros(c, np.float32), np.ones(c, np.float32), True)
+    act = ag.prelu(norm, p["alpha"])
+    out2 = ag.conv2d(act, p["w2"], p["b2"], 1, 1)
+    weighted = ag.mul(out2, weights)
+    return [out, norm, act, out2, weighted, ag.tsum(weighted)]
+
+
+class TestGraphHoldsNoActivation:
+    """A graph keeps an op's output data only when a backward rule saved it."""
+
+    def setup_method(self):
+        self.x, self.params, self.weights = conv_block_inputs(11)
+
+    def grads(self):
+        grads = {name: p.grad for name, p in self.params.items()}
+        grads["x"] = self.x.grad
+        for t in (self.x, *self.params.values()):
+            t.zero_grad()
+        return grads
+
+    def test_unsaved_outputs_die_before_backward(self):
+        out, norm, act, out2, weighted, root = conv_block(self.x, self.params, self.weights)
+        # batchnorm saves its normalized input, not the conv output it reads;
+        # the next conv saves its column matrix, not the prelu output
+        dead = [weakref.ref(out.data), weakref.ref(out.data.base), weakref.ref(act.data)]
+        del out, norm, act, out2, weighted
+        assert [ref() is None for ref in dead] == [True] * len(dead)
+        assert root.requires_grad and root._backward is not None  # graph alive, not differentiated
+        ag.backward(root)
+        released = self.grads()
+
+        tensors = conv_block(self.x, self.params, self.weights)
+        ag.backward(tensors[-1])
+        held = self.grads()
+        for name in held:
+            assert_same_bits(released[name], held[name])
+
+    def test_conv_backward_reuses_its_column_matrix(self, monkeypatch):
+        made, given = [], []
+        im2col, col2im = ag._im2col, ag._col2im
+
+        def recording_im2col(*args):
+            cols, ho, wo = im2col(*args)
+            made.append(cols)
+            return cols, ho, wo
+
+        def recording_col2im(dcols, *args):
+            given.append(dcols)
+            return col2im(dcols, *args)
+
+        monkeypatch.setattr(ag, "_im2col", recording_im2col)
+        monkeypatch.setattr(ag, "_col2im", recording_col2im)
+        ag.backward(conv_block(self.x, self.params, self.weights)[-1])
+        assert len(made) == len(given) == 2
+        assert all(dcols is cols for dcols, cols in zip(given, reversed(made)))
+
+
+def old_way_backward(tensors) -> dict:
+    """Leaf gradients by the engine as it was when the graph's nodes were the
+    output tensors: every gradient starts as np.zeros_like of the node's data.
+
+    `tensors` is a chain in creation order (each used once), so reverse
+    creation order is the order the engine runs the rules in.
+    """
+    root = tensors[-1]
+    data_of = {id(t._node): t.data for t in tensors}
+    grads = {id(root._node): np.ones_like(root.data)}
+    leaves = {}
+    for t in reversed(tensors):
+        g = grads.pop(id(t._node))
+        for parent, pg in zip(t._parents, t._backward(g)):
+            if pg is None or not parent.requires_grad:
+                continue
+            if id(parent) in data_of:
+                acc = grads.setdefault(id(parent), np.zeros_like(data_of[id(parent)]))
+            else:
+                acc = leaves.setdefault(id(parent), np.zeros(parent.shape, parent.dtype))
+            acc += pg
+    return leaves
+
+
+class TestGradientMemoryOrder:
+    """Non-leaf gradients keep their data's memory order, as np.zeros_like does."""
+
+    @staticmethod
+    def build():
+        x, params, weights = conv_block_inputs(12)
+        return x, params, conv_block(x, params, weights)
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a,
+        lambda a: np.asfortranarray(a),
+        lambda a: a.transpose(0, 2, 3, 1),
+        lambda a: a.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2),
+        lambda a: a[:, ::-1, :, ::2],
+        lambda a: a[:, :1],
+        lambda a: np.broadcast_to(a[:1], a.shape),
+        lambda a: a[0, 0, 0, 0],
+    ], ids=["c", "fortran", "transposed", "nhwc", "reversed-step", "one-channel", "broadcast", "scalar"])
+    def test_node_zeros_lay_out_like_zeros_like(self, make):
+        data = make(np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5))
+        zeros = ag.Tensor(data)._node.zeros()
+        like = np.zeros_like(data)
+        assert (zeros.shape, zeros.dtype, zeros.strides) == (like.shape, like.dtype, like.strides)
+
+    def test_conv_output_gradient_has_zeros_like_strides(self):
+        _, _, tensors = self.build()
+        out = tensors[0]
+        assert not out.data.flags.c_contiguous  # conv outputs are NHWC-strided views
+        expected = np.zeros_like(out.data).strides
+        seen, rule = [], out._backward
+
+        def recording_rule(g):
+            seen.append(g.strides)
+            return rule(g)
+
+        out._backward = recording_rule
+        ag.backward(tensors[-1])
+        assert seen == [expected]
+
+    def test_gradients_match_the_tensor_graph_engine(self):
+        x, params, tensors = self.build()
+        ag.backward(tensors[-1])
+        new = [x.grad, *(p.grad for p in params.values())]
+
+        x, params, tensors = self.build()
+        leaves = old_way_backward(tensors)
+        old = [leaves[id(t._node)] for t in (x, *params.values())]
+        for a, b in zip(new, old):
+            assert_same_bits(a, b)
 
 
 class TestGradientChecks:

@@ -456,6 +456,19 @@ class TestArchCompatibility:
         doc = train_config(data, tmp_path / "out", epochs=2)
         assert resume(doc, trained, tmp_path) == cli.EXIT_MISMATCH
 
+    def test_qcgan_patch_mismatch_names_the_fields(self, trained, tmp_path):
+        data = tmp_path / "interp40"
+        assert cli.main(["gen-data", "--task", "interpolation_random", "--out", str(data), "--n", "20",
+                         "--height", "40", "--width", "40", "--seed", "3"]) == 0
+        config = tmp_path / "resume40.json"
+        config.write_text(json.dumps(train_config(data, tmp_path / "out", epochs=2)))
+        proc = run_module(["train", "--config", str(config), "--resume", str(trained)])
+        assert_exit(proc, cli.EXIT_MISMATCH)
+        error = next(line for line in proc.stderr.splitlines() if line.startswith("ERROR"))
+        assert error.endswith("does not match the requested model: "
+                              "discriminator.patch_height: stored 32, requested 40; "
+                              "discriminator.patch_width: stored 32, requested 40"), error
+
     @pytest.mark.parametrize("family", ["qcgan", "unet"])
     def test_retired_fields_evaluate_and_resume_alike(self, family, trained, unet_trained,
                                                       small_dataset, lfe_dataset, tmp_path, capsys):

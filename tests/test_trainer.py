@@ -277,6 +277,18 @@ class TestCheckpoints:
         with pytest.raises(trainer.CheckpointError):
             trainer.load_model_state(twin, ckpt, "generator")
 
+    def test_arch_mismatch_names_roles_and_fields(self):
+        unet = mdl.UNet(mdl.UNetConfig(base_channels=4), init_seed=0).arch_config()
+        gen = mdl.Generator(mdl.GeneratorConfig(blocks=2, base_channels=8), init_seed=0).arch_config()
+        twin = mdl.Generator(mdl.GeneratorConfig(blocks=2, base_channels=8, quantum=False),
+                             init_seed=0).arch_config()
+        ckpt = Checkpoint(version=1, config={"arch": {"model": unet, "generator": gen}}, entries={})
+        with pytest.raises(trainer.CheckpointError) as info:
+            ckpt.require_arch({"generator": twin, "discriminator": gen})
+        assert str(info.value).endswith(
+            ": discriminator: requested only; generator.quantum: stored true, requested false; model: stored only")
+        ckpt.require_arch({"model": unet, "generator": gen})
+
     def test_circuits_restore_from_angles_not_reseeding(self, interp_data, tmp_path):
         train, val = interp_data
         gen, disc = small_models(seed=9)
@@ -430,8 +442,10 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
 
     The column matrices of the convs in the differentiated graph must be
     dead (their rules were dropped as backward ran, without a gc pass)
-    and no non-leaf node of that graph may still hold a gradient. Returns
-    the number of column matrices checked per backward call.
+    and no non-leaf node of that graph may still hold a gradient. The
+    matrices are keyed by the graph node of the conv's output, since the
+    graph reaches nodes, not output tensors. Returns the number of column
+    matrices checked per backward call.
     """
     pending, cols_of, checked = [], {}, []
     im2col, conv2d, backward = ag._im2col, ag.conv2d, ag.backward
@@ -443,21 +457,22 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
 
     def recording_conv2d(*args, **kwargs):
         out = conv2d(*args, **kwargs)
-        cols_of[id(out)] = pending[:]
+        if out.requires_grad:
+            cols_of[out._node] = pending[:]
         pending.clear()
         return out
 
     def checking_backward(root):
-        nodes, stack, seen = [], [root], {id(root)}
+        nodes, stack, seen = [], [root._node], {root._node}
         while stack:
             node = stack.pop()
-            if node._backward is not None:
+            if node.rule is not None:
                 nodes.append(node)
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
+            for parent in node.parents:
+                if parent not in seen:
+                    seen.add(parent)
                     stack.append(parent)
-        cols = [ref for node in nodes for ref in cols_of.pop(id(node), ())]
+        cols = [ref for node in nodes for ref in cols_of.pop(node, ())]
         backward(root)
         assert [ref() is None for ref in cols] == [True] * len(cols)
         assert [node.grad is None for node in nodes] == [True] * len(nodes)
