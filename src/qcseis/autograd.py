@@ -17,13 +17,21 @@ reads is freed during the forward pass as soon as Python drops it. The
 backward pass consumes the graph it differentiates, as PyTorch does
 (Paszke et al. 2017): once a node's rule has run, the node drops its
 gradient and the rule, and with the rule the arrays it saved, so a second
-backward through the same graph raises. Because each rule runs once, conv
-backward writes the column gradient into the column matrix it saved.
-Each gradient keeps the memory order of its data (conv outputs are
-NHWC-strided), since the rules' reductions follow that order. Leaf
-gradients still accumulate across separate graphs.
+backward through the same graph raises. Conv's rule saves its input, not
+its column matrix (recomputed rather than stored, as in Chen et al. 2016):
+the forward builds the columns for a cache block's worth of whole batch
+items at a time, and backward rebuilds them in a per-thread buffer that
+lives as long as its thread and is the size of the largest column matrix
+that thread has differentiated, then writes the column gradient over
+them. Forward-only runs never create the buffer. The GEMMs are the
+per-item calls they always were, so neither the chunking nor the
+recomputation changes a bit. Each gradient keeps the memory order of its
+data (conv outputs are NHWC-strided), since the rules' reductions follow
+that order. Leaf gradients still accumulate across separate graphs.
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -249,16 +257,14 @@ def backward(root: Tensor) -> None:
     forward pass as soon as Python drops it. The graph is consumed on the
     way: once a node's rule has run, the node drops its gradient, its
     parents and its rule (with the arrays the rule saved), so memory
-    falls as backward walks from the root to the inputs. Since no rule
-    runs twice, a rule may overwrite what it saved: conv writes its column
-    gradient into its column matrix. Each node's gradient is allocated in
-    the memory order of its data, as np.zeros_like would, because the
-    rules' reductions follow that order. Leaves (parameters and inputs)
-    keep their .grad, and repeated calls on separate graphs keep
-    accumulating into it without zero_grad. A second backward through a
-    node already differentiated raises RuntimeError before any gradient
-    is touched. The root must be a scalar (single element) attached to a
-    recorded graph.
+    falls as backward walks from the root to the inputs. Each node's
+    gradient is allocated in the memory order of its data, as
+    np.zeros_like would, because the rules' reductions follow that order.
+    Leaves (parameters and inputs) keep their .grad, and repeated calls on
+    separate graphs keep accumulating into it without zero_grad. A second
+    backward through a node already differentiated raises RuntimeError
+    before any gradient is touched. The root must be a scalar (single
+    element) attached to a recorded graph.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward requires a scalar root, got shape {root.shape}")
@@ -325,8 +331,12 @@ def _blocks(b: int, rows: int, row_bytes: int):
             yield slice(n, n + 1), r0, min(rows, r0 + per_block)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """[B, C, H, W] -> windows as rows: [B, Ho·Wo, C·kh·kw], (c, i, j) order."""
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, out=None):
+    """[B, C, H, W] -> windows as rows: [B, Ho·Wo, C·kh·kw], (c, i, j) order.
+
+    `out`, when given, is a flat array of x's dtype and the columns' size
+    that takes them.
+    """
     b, c, h, w = x.shape
     p = padding
     hp, wp = h + 2 * p, w + 2 * p
@@ -334,7 +344,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     wo = (wp - kw) // stride + 1
     xn = np.zeros((b, hp, wp, c), dtype=x.dtype)
     xn[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
-    cols = np.empty((b, ho, wo, c, kh, kw), dtype=x.dtype)
+    shape = (b, ho, wo, c, kh, kw)
+    cols = np.empty(shape, dtype=x.dtype) if out is None else out.reshape(shape)
     wend = (wo - 1) * stride + 1
     for n, r0, r1 in _blocks(b, ho, wo * c * kh * kw * x.itemsize):
         for i in range(kh):
@@ -368,8 +379,28 @@ def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: 
     return dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
 
 
+# Conv backward rebuilds its column matrix here rather than keeping it from
+# the forward: one byte buffer per thread, grown to the largest column matrix
+# the thread has differentiated and reused by every later conv backward.
+_COLUMNS = threading.local()
+
+
+def _column_buffer(size: int, dtype) -> np.ndarray:
+    """The calling thread's column buffer as `size` elements of `dtype`."""
+    nbytes = size * np.dtype(dtype).itemsize
+    if getattr(_COLUMNS, "buf", None) is None or _COLUMNS.buf.nbytes < nbytes:
+        _COLUMNS.buf = None  # free the smaller buffer before allocating its successor
+        _COLUMNS.buf = np.empty(nbytes, np.uint8)
+    return _COLUMNS.buf[:nbytes].view(dtype)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [B, Cin, H, W] with [Cout, Cin, kh, kw] kernels."""
+    """Cross-correlation of [B, Cin, H, W] with [Cout, Cin, kh, kw] kernels.
+
+    The rule saves x; backward rebuilds its columns in the thread's column
+    buffer. Each chunk's matmul makes the per-item GEMM calls that one
+    stacked matmul over the full column matrix would.
+    """
     _same_dtype(x, weight, bias)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError("conv2d expects a 4-d input and a 4-d weight")
@@ -387,20 +418,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}"
         )
     # output dims follow floor semantics: (H + 2p - k) // stride + 1
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    xd = x.data
     wmat = weight.data.reshape(cout, -1)
-    out = cols @ wmat.T
+    size = ho * wo * wmat.shape[1]  # column-matrix elements per batch item
+    out = np.empty((b, ho * wo, cout), dtype=xd.dtype)
+    items = max(1, _BLOCK_BYTES // (size * xd.itemsize))
+    for n in range(0, b, items):
+        cols = _im2col(xd[n : n + items], kh, kw, stride, padding)[0]
+        np.matmul(cols, wmat.T, out=out[n : n + items])
     out += bias.data
     out = out.transpose(0, 2, 1).reshape(b, cout, ho, wo)
-    x_shape, w_shape = x.shape, weight.shape
+    w_shape = weight.shape
 
     def bwd(g):
+        cols = _im2col(xd, kh, kw, stride, padding, _column_buffer(b * size, xd.dtype))[0]
         gmat = g.reshape(b, cout, ho * wo).transpose(0, 2, 1)
         dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
         db = g.sum(axis=(0, 2, 3))
-        # the rule runs once, so the column matrix can take the column gradient
         dcols = np.matmul(gmat, wmat, out=cols)
-        dx = _col2im(dcols, x_shape, kh, kw, stride, padding, ho, wo)
+        dx = _col2im(dcols, xd.shape, kh, kw, stride, padding, ho, wo)
         return dx, dw, db
 
     return _result(out, (x, weight, bias), bwd)

@@ -1,4 +1,7 @@
 """Autograd engine tests: hand examples, FD checks, backward semantics."""
+import sys
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -69,6 +72,32 @@ def reference_col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, 
     return dxp
 
 
+def reference_conv2d(x, weight, bias, stride: int = 1, padding: int = 0):
+    """conv2d as it was when its rule saved the column matrix, on the
+    unblocked helpers: one full column matrix, one stacked matmul.
+
+    Takes tensors, returns the output array and the backward rule.
+    """
+    b, cin, h, w = x.shape
+    cout, cin_w, kh, kw = weight.shape
+    cols, ho, wo = reference_im2col(x.data, kh, kw, stride, padding)
+    wmat = weight.data.reshape(cout, -1)
+    out = cols @ wmat.T
+    out += bias.data
+    out = out.transpose(0, 2, 1).reshape(b, cout, ho, wo)
+    x_shape, w_shape = x.shape, weight.shape
+
+    def bwd(g):
+        gmat = g.reshape(b, cout, ho * wo).transpose(0, 2, 1)
+        dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
+        db = g.sum(axis=(0, 2, 3))
+        dcols = np.matmul(gmat, wmat, out=cols)
+        dx = reference_col2im(dcols, x_shape, kh, kw, stride, padding, ho, wo)
+        return dx, dw, db
+
+    return out, bwd
+
+
 def bits(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
@@ -133,28 +162,36 @@ def default_conv_shapes(batch: int) -> list:
     return seen
 
 
+def conv_inputs(rng, x_shape, w_shape, dtype):
+    x = ag.Tensor(rng.normal(size=x_shape).astype(dtype), requires_grad=True)
+    w = ag.Tensor((rng.normal(size=w_shape) * 0.1).astype(dtype), requires_grad=True)
+    b = ag.Tensor(rng.normal(size=w_shape[0]).astype(dtype), requires_grad=True)
+    return x, w, b
+
+
+def assert_conv_matches_reference(x, w, b, stride, padding, rng):
+    """Forward, dx, dw and db of conv2d equal reference_conv2d's bit for bit."""
+    out = ag.conv2d(x, w, b, stride, padding)
+    g = rng.normal(size=out.shape).astype(out.dtype)
+    grads = out._backward(g)
+    ref, ref_bwd = reference_conv2d(x, w, b, stride, padding)
+    assert_same_bits(out.data, ref)
+    for new, old in zip(grads, ref_bwd(g)):
+        assert_same_bits(new, old)
+
+
 class TestConvAtModelShapes:
-    """conv2d forward, dx, dw and db at the default models' shapes equal a conv
-    on the reference helpers bit for bit."""
+    """conv2d forward, dx, dw and db at the default models' shapes equal the
+    reference conv bit for bit."""
 
     SHAPES = default_conv_shapes(batch=16)
 
     @pytest.mark.parametrize("x_shape, w_shape, stride, padding", SHAPES,
                              ids=[f"{x}-{w}-s{s}" for x, w, s, _ in SHAPES])
-    def test_bitwise(self, monkeypatch, x_shape, w_shape, stride, padding):
+    def test_bitwise(self, x_shape, w_shape, stride, padding):
         rng = np.random.default_rng(sum(x_shape) + sum(w_shape))
-        x = t32(rng.normal(size=x_shape), grad=True)
-        w = t32(rng.normal(size=w_shape) * 0.1, grad=True)
-        b = t32(rng.normal(size=w_shape[0]), grad=True)
-        out = ag.conv2d(x, w, b, stride, padding)
-        g = rng.normal(size=out.shape).astype(np.float32)
-        grads = out._backward(g)
-        monkeypatch.setattr(ag, "_im2col", reference_im2col)
-        monkeypatch.setattr(ag, "_col2im", reference_col2im)
-        ref = ag.conv2d(x, w, b, stride, padding)
-        assert_same_bits(out.data, ref.data)
-        for new, old in zip(grads, ref._backward(g)):
-            assert_same_bits(new, old)
+        x, w, b = conv_inputs(rng, x_shape, w_shape, np.float32)
+        assert_conv_matches_reference(x, w, b, stride, padding, rng)
 
     def test_shapes_cover_the_models(self):
         assert len(self.SHAPES) >= 15
@@ -162,6 +199,24 @@ class TestConvAtModelShapes:
         assert any(w[2] == 1 for _, w, _, _ in self.SHAPES)
         assert any(w[0] == 1 for _, w, _, _ in self.SHAPES)
         assert max(x[1] for x, _, _, _ in self.SHAPES) >= 256
+
+
+class TestConvAtOddShapes:
+    """conv2d against the reference conv on odd 9x11 maps in float64, with
+    forward chunks of one, two (the last one short) and all five items."""
+
+    @pytest.mark.parametrize("items", [1, 2, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_bitwise(self, monkeypatch, items, stride):
+        rng = np.random.default_rng(stride)
+        for padding in (0, 1, 2):
+            for k in (1, 3, 5):
+                ho = (9 + 2 * padding - k) // stride + 1
+                wo = (11 + 2 * padding - k) // stride + 1
+                # a block of `items` float64 column matrices of one item each
+                monkeypatch.setattr(ag, "_BLOCK_BYTES", items * ho * wo * 2 * k * k * 8)
+                x, w, b = conv_inputs(rng, (5, 2, 9, 11), (3, 2, k, k), np.float64)
+                assert_conv_matches_reference(x, w, b, stride, padding, rng)
 
 
 class TestPrelu:
@@ -418,15 +473,28 @@ class TestGraphHoldsNoActivation:
             t.zero_grad()
         return grads
 
-    def test_unsaved_outputs_die_before_backward(self):
+    def test_unsaved_outputs_die_before_backward(self, monkeypatch):
+        made = []
+        im2col = ag._im2col
+
+        def recording_im2col(*args, **kwargs):
+            cols, ho, wo = im2col(*args, **kwargs)
+            made.append(weakref.ref(cols))
+            return cols, ho, wo
+
+        monkeypatch.setattr(ag, "_im2col", recording_im2col)
         out, norm, act, out2, weighted, root = conv_block(self.x, self.params, self.weights)
         # batchnorm saves its normalized input, not the conv output it reads;
-        # the next conv saves its column matrix, not the prelu output
-        dead = [weakref.ref(out.data), weakref.ref(out.data.base), weakref.ref(act.data)]
+        # conv saves its input (the prelu output), and no column matrix
+        dead = [weakref.ref(out.data), weakref.ref(out.data.base), *made]
+        kept = weakref.ref(act.data)
         del out, norm, act, out2, weighted
+        assert len(made) >= 2
         assert [ref() is None for ref in dead] == [True] * len(dead)
+        assert kept() is not None
         assert root.requires_grad and root._backward is not None  # graph alive, not differentiated
         ag.backward(root)
+        assert kept() is None  # the rule that saved it has run
         released = self.grads()
 
         tensors = conv_block(self.x, self.params, self.weights)
@@ -436,12 +504,12 @@ class TestGraphHoldsNoActivation:
             assert_same_bits(released[name], held[name])
 
     def test_conv_backward_reuses_its_column_matrix(self, monkeypatch):
-        made, given = [], []
+        forward, rebuilt, given = [], [], []
         im2col, col2im = ag._im2col, ag._col2im
 
-        def recording_im2col(*args):
-            cols, ho, wo = im2col(*args)
-            made.append(cols)
+        def recording_im2col(x, kh, kw, stride, padding, out=None):
+            cols, ho, wo = im2col(x, kh, kw, stride, padding, out)
+            (forward if out is None else rebuilt).append(cols)
             return cols, ho, wo
 
         def recording_col2im(dcols, *args):
@@ -450,9 +518,121 @@ class TestGraphHoldsNoActivation:
 
         monkeypatch.setattr(ag, "_im2col", recording_im2col)
         monkeypatch.setattr(ag, "_col2im", recording_col2im)
-        ag.backward(conv_block(self.x, self.params, self.weights)[-1])
-        assert len(made) == len(given) == 2
-        assert all(dcols is cols for dcols, cols in zip(given, reversed(made)))
+        root = conv_block(self.x, self.params, self.weights)[-1]
+        assert len(forward) >= 2 and not rebuilt
+        ag.backward(root)
+        assert len(rebuilt) == len(given) == 2
+        assert all(dcols is cols for dcols, cols in zip(given, rebuilt))
+        assert all(np.shares_memory(cols, ag._COLUMNS.buf) for cols in rebuilt)
+        assert not any(np.shares_memory(cols, ag._COLUMNS.buf) for cols in forward)
+
+    def test_unet_forward_keeps_a_third_of_the_old_bytes(self):
+        # Bytes a default UNet forward at batch 2 keeps alive through its
+        # graph, under tracemalloc: 130661121 when conv saved its column
+        # matrices, 29173594 now that it saves its input.
+        model = mdl.UNet(mdl.UNetConfig(), init_seed=0)
+        x = t32(np.random.default_rng(0).normal(size=(2, 1, 64, 64)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = model(x)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert kept < 130661121 / 3
+
+
+class TestColumnBuffer:
+    """Conv backward's per-thread column buffer."""
+
+    # column matrices of 0.3 to 5 MB, so that each thread's copies and GEMMs
+    # release the GIL while the other thread runs
+    CASES = {
+        np.float32: [((8, 16, 32, 32), (16, 16, 3, 3), 1, 1), ((6, 12, 33, 31), (8, 12, 3, 3), 2, 1),
+                     ((8, 32, 16, 16), (24, 32, 1, 1), 1, 0)],
+        np.float64: [((4, 16, 32, 32), (8, 16, 3, 3), 1, 1), ((3, 6, 25, 27), (5, 6, 5, 5), 1, 2),
+                     ((5, 20, 19, 17), (6, 20, 3, 3), 3, 0)],
+    }
+
+    @staticmethod
+    def run(dtype, cases, rounds, barrier=None):
+        """Bytes of every forward output and gradient, round after round."""
+        results = []
+        for r in range(rounds):
+            for i, (x_shape, w_shape, stride, padding) in enumerate(cases):
+                rng = np.random.default_rng(100 * r + i)
+                x, w, b = conv_inputs(rng, x_shape, w_shape, dtype)
+                out = ag.conv2d(x, w, b, stride, padding)
+                g = rng.normal(size=out.shape).astype(dtype)
+                if barrier is not None:
+                    barrier.wait()
+                results.append([bits(a).tobytes() for a in (out.data, *out._backward(g))])
+        return results
+
+    def test_forward_never_creates_the_buffer(self):
+        seen = {}
+
+        def forward_only():
+            x, w, b = conv_inputs(np.random.default_rng(0), (2, 3, 8, 8), (4, 3, 3, 3), np.float32)
+            ag.conv2d(x, w, b, 1, 1)
+            with ag.no_grad():
+                ag.conv2d(x, w, b, 1, 1)
+            seen["forward"] = getattr(ag._COLUMNS, "buf", None)
+            ag.conv2d(x, w, b, 1, 1)._backward(np.ones((2, 4, 8, 8), np.float32))
+            seen["backward"] = ag._COLUMNS.buf.nbytes
+
+        thread = threading.Thread(target=forward_only)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen == {"forward": None, "backward": 2 * 64 * 27 * 4}
+
+    def test_two_threads_match_one(self):
+        rounds = 4
+        alone = {dtype: self.run(dtype, cases, rounds) for dtype, cases in self.CASES.items()}
+        barrier = threading.Barrier(2, timeout=60)
+        together, errors = {}, []
+
+        def worker(dtype):
+            try:
+                together[dtype] = self.run(dtype, self.CASES[dtype], rounds, barrier)
+            except Exception as exc:  # reported below, in the test's thread
+                barrier.abort()
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(dtype,)) for dtype in self.CASES]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often between numpy calls
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert together == alone
+
+    def test_float64_after_larger_float32_reuses_the_buffer(self):
+        done = {}
+
+        def in_fresh_thread():
+            rng = np.random.default_rng(3)
+            x, w, b = conv_inputs(rng, (4, 6, 16, 16), (8, 6, 3, 3), np.float32)
+            assert_conv_matches_reference(x, w, b, 1, 1, rng)
+            buf = ag._COLUMNS.buf
+            x, w, b = conv_inputs(rng, (3, 5, 11, 9), (4, 5, 3, 3), np.float64)
+            assert 3 * 99 * 45 * 8 < buf.nbytes == 4 * 256 * 54 * 4
+            assert_conv_matches_reference(x, w, b, 1, 1, rng)
+            done["same buffer"] = ag._COLUMNS.buf is buf
+
+        thread = threading.Thread(target=in_fresh_thread)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert done == {"same buffer": True}
 
 
 def old_way_backward(tensors) -> dict:

@@ -438,29 +438,25 @@ class TestGraphLifetime:
 
 
 def checked_backward_run(monkeypatch, train_fn) -> list:
-    """Run train_fn with every ag.backward checked right after it returns.
+    """Run train_fn with every ag.backward checked before and after it runs.
 
-    The column matrices of the convs in the differentiated graph must be
-    dead (their rules were dropped as backward ran, without a gc pass)
-    and no non-leaf node of that graph may still hold a gradient. The
-    matrices are keyed by the graph node of the conv's output, since the
-    graph reaches nodes, not output tensors. Returns the number of column
-    matrices checked per backward call.
+    Conv keeps no column matrix from forward to backward: every array
+    `_im2col` returned outside backward must be dead (without a gc pass)
+    when backward starts, and backward must rebuild the columns of each conv
+    in the graph in the thread's column buffer. Once backward returns, no
+    node of the graph may still hold a gradient or a rule (with the arrays
+    it saved). Returns the number of conv columns rebuilt per backward call.
     """
-    pending, cols_of, checked = [], {}, []
-    im2col, conv2d, backward = ag._im2col, ag.conv2d, ag.backward
+    made, rebuilt, checked = [], [], []
+    im2col, backward = ag._im2col, ag.backward
 
-    def recording_im2col(*args):
-        cols, ho, wo = im2col(*args)
-        pending.append(weakref.ref(cols))
+    def recording_im2col(x, kh, kw, stride, padding, out=None):
+        cols, ho, wo = im2col(x, kh, kw, stride, padding, out)
+        if out is None:
+            made.append(weakref.ref(cols))
+        else:
+            rebuilt.append(np.shares_memory(cols, ag._COLUMNS.buf))
         return cols, ho, wo
-
-    def recording_conv2d(*args, **kwargs):
-        out = conv2d(*args, **kwargs)
-        if out.requires_grad:
-            cols_of[out._node] = pending[:]
-        pending.clear()
-        return out
 
     def checking_backward(root):
         nodes, stack, seen = [], [root._node], {root._node}
@@ -472,14 +468,17 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
                 if parent not in seen:
                     seen.add(parent)
                     stack.append(parent)
-        cols = [ref for node in nodes for ref in cols_of.pop(node, ())]
+        convs = sum(node.rule.__qualname__ == "conv2d.<locals>.bwd" for node in nodes)
+        assert [ref() is None for ref in made] == [True] * len(made)
+        made.clear()
         backward(root)
-        assert [ref() is None for ref in cols] == [True] * len(cols)
+        assert rebuilt == [True] * convs
+        rebuilt.clear()
         assert [node.grad is None for node in nodes] == [True] * len(nodes)
-        checked.append(len(cols))
+        assert [node.rule is ag._spent for node in nodes] == [True] * len(nodes)
+        checked.append(convs)
 
     monkeypatch.setattr(ag, "_im2col", recording_im2col)
-    monkeypatch.setattr(ag, "conv2d", recording_conv2d)
     monkeypatch.setattr(ag, "backward", checking_backward)
     train_fn(None)
     return checked
