@@ -1,8 +1,12 @@
 """Autograd engine tests: hand examples, FD checks, backward semantics."""
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,12 +115,13 @@ def assert_same_bits(new, ref):
 class TestConvHelpers:
     """Blocked im2col/col2im against the unblocked reference, bit for bit."""
 
-    @pytest.mark.parametrize("block_bytes", [1, 3000, 20000, ag._BLOCK_BYTES])
+    @pytest.mark.parametrize("block_bytes", [1, 3000, 20000, 256 * 1024])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_matches_reference(self, monkeypatch, block_bytes, dtype, stride):
         # 1 byte gives one row per block, 3000 and 20000 runs of a few rows or
-        # a few whole items, the default one block for the whole batch
+        # a few whole items, 256 KiB (like the default) one block for the
+        # whole batch
         monkeypatch.setattr(ag, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(stride)
         for padding in (0, 1, 2):
@@ -217,6 +222,79 @@ class TestConvAtOddShapes:
                 monkeypatch.setattr(ag, "_BLOCK_BYTES", items * ho * wo * 2 * k * k * 8)
                 x, w, b = conv_inputs(rng, (5, 2, 9, 11), (3, 2, k, k), np.float64)
                 assert_conv_matches_reference(x, w, b, stride, padding, rng)
+
+
+class TestConvLanes:
+    """conv2d splits each batch into runs of items, one per lane; the lane
+    count changes no bit, and a failing lane is raised in the caller."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lane_count_changes_nothing(self, monkeypatch, dtype):
+        # every model shape at batch 1 and 3 (fewer items than lanes, and
+        # uneven runs), and in float32 also at the models' batch of 16
+        for x_shape, w_shape, stride, padding in TestConvAtModelShapes.SHAPES:
+            for batch in (1, 3, 16) if dtype == np.float32 else (1, 3):
+                rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + batch)
+                x, w, b = conv_inputs(rng, (batch,) + x_shape[1:], w_shape, dtype)
+                ref, ref_bwd = reference_conv2d(x, w, b, stride, padding)
+                g = rng.normal(size=ref.shape).astype(dtype)
+                ref_grads = ref_bwd(g)
+                for lanes in (1, 2, 3, 17):
+                    monkeypatch.setattr(ag, "_LANES", lanes)
+                    out = ag.conv2d(x, w, b, stride, padding)
+                    assert_same_bits(out.data, ref)
+                    for new, old in zip(out._backward(g), ref_grads):
+                        assert_same_bits(new, old)
+
+    def test_no_grad_forward(self, monkeypatch):
+        monkeypatch.setattr(ag, "_LANES", 3)
+        rng = np.random.default_rng(4)
+        x, w, b = conv_inputs(rng, (5, 8, 16, 16), (6, 8, 3, 3), np.float32)
+        with ag.no_grad():
+            out = ag.conv2d(x, w, b, 1, 1)
+        assert not out.requires_grad
+        assert_same_bits(out.data, reference_conv2d(x, w, b, 1, 1)[0])
+
+    @pytest.mark.parametrize("failing", ["caller", "qcseis-conv-lane-2"])
+    def test_failing_lane_is_raised_after_every_lane_ran(self, monkeypatch, failing):
+        monkeypatch.setattr(ag, "_LANES", 3)
+        caller, finished = threading.current_thread(), []
+        im2col = ag._im2col
+
+        def failing_im2col(*args):
+            thread = threading.current_thread()
+            lane = "caller" if thread is caller else thread.name
+            if lane == failing:
+                raise RuntimeError("lane failed")
+            time.sleep(0.05)
+            finished.append(lane)
+            return im2col(*args)
+
+        rng = np.random.default_rng(5)
+        x, w, b = conv_inputs(rng, (6, 4, 12, 12), (5, 4, 3, 3), np.float32)
+        monkeypatch.setattr(ag, "_im2col", failing_im2col)
+        with pytest.raises(RuntimeError, match="lane failed"):
+            ag.conv2d(x, w, b, 1, 1)
+        assert len(finished) == 2  # the other two lanes ran to the end before the error surfaced
+        monkeypatch.setattr(ag, "_im2col", im2col)
+        assert_conv_matches_reference(x, w, b, 1, 1, rng)
+
+    def test_import_starts_no_thread_and_no_new_module(self):
+        # the standard-library modules the package imports, loaded first, so
+        # that whatever they pull in on this Python is not counted
+        stdlib = ("__future__", "argparse", "contextlib", "csv", "dataclasses", "functools", "json",
+                  "logging", "os", "pathlib", "struct", "sys", "threading", "time")
+        code = (f"import {', '.join(stdlib)}, numpy\n"
+                "before = set(sys.modules)\n"
+                "import qcseis.cli\n"
+                "print(threading.active_count(), *sorted(set(sys.modules) - before))")
+        src = str(Path(ag.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        threads, *new = done.stdout.split()
+        assert threads == "1"
+        assert [m for m in new if m.split(".")[0] != "qcseis"] == []
 
 
 class TestPrelu:
@@ -479,7 +557,7 @@ class TestGraphHoldsNoActivation:
 
         def recording_im2col(*args, **kwargs):
             cols, ho, wo = im2col(*args, **kwargs)
-            made.append(weakref.ref(cols))
+            made.append(weakref.ref(cols.base))  # the array that owns the columns' memory
             return cols, ho, wo
 
         monkeypatch.setattr(ag, "_im2col", recording_im2col)
@@ -504,25 +582,34 @@ class TestGraphHoldsNoActivation:
             assert_same_bits(released[name], held[name])
 
     def test_conv_backward_reuses_its_column_matrix(self, monkeypatch):
-        forward, rebuilt, given = [], [], []
+        made, given = [], []
         im2col, col2im = ag._im2col, ag._col2im
 
-        def recording_im2col(x, kh, kw, stride, padding, out=None):
-            cols, ho, wo = im2col(x, kh, kw, stride, padding, out)
-            (forward if out is None else rebuilt).append(cols)
+        def recording_im2col(*args):
+            cols, ho, wo = im2col(*args)
+            made.append(cols)
             return cols, ho, wo
 
         def recording_col2im(dcols, *args):
             given.append(dcols)
             return col2im(dcols, *args)
 
+        def span(a):
+            return a.__array_interface__["data"][0], a.nbytes
+
+        monkeypatch.setattr(ag, "_LANES", 2)
         monkeypatch.setattr(ag, "_im2col", recording_im2col)
         monkeypatch.setattr(ag, "_col2im", recording_col2im)
         root = conv_block(self.x, self.params, self.weights)[-1]
-        assert len(forward) >= 2 and not rebuilt
+        forward = made[:]
+        made.clear()
+        assert len(forward) >= 2 and not given
         ag.backward(root)
-        assert len(rebuilt) == len(given) == 2
-        assert all(dcols is cols for dcols, cols in zip(given, rebuilt))
+        rebuilt = made
+        # each of the 2 convs rebuilds its columns and sums its dx on 2 lanes
+        assert len(rebuilt) == len(given) == 4
+        # the column gradient is written over the rebuilt columns
+        assert sorted(map(span, given)) == sorted(map(span, rebuilt))
         assert all(np.shares_memory(cols, ag._COLUMNS.buf) for cols in rebuilt)
         assert not any(np.shares_memory(cols, ag._COLUMNS.buf) for cols in forward)
 
@@ -588,7 +675,8 @@ class TestColumnBuffer:
         assert not thread.is_alive()
         assert seen == {"forward": None, "backward": 2 * 64 * 27 * 4}
 
-    def test_two_threads_match_one(self):
+    def test_two_threads_match_one(self, monkeypatch):
+        monkeypatch.setattr(ag, "_LANES", max(3, ag._LANES))  # both callers split their batches
         rounds = 4
         alone = {dtype: self.run(dtype, cases, rounds) for dtype, cases in self.CASES.items()}
         barrier = threading.Barrier(2, timeout=60)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import weakref
 from pathlib import Path
 
@@ -440,22 +441,30 @@ class TestGraphLifetime:
 def checked_backward_run(monkeypatch, train_fn) -> list:
     """Run train_fn with every ag.backward checked before and after it runs.
 
-    Conv keeps no column matrix from forward to backward: every array
-    `_im2col` returned outside backward must be dead (without a gc pass)
-    when backward starts, and backward must rebuild the columns of each conv
-    in the graph in the thread's column buffer. Once backward returns, no
-    node of the graph may still hold a gradient or a rule (with the arrays
-    it saved). Returns the number of conv columns rebuilt per backward call.
+    Conv keeps no column matrix from forward to backward: every array that
+    owns columns `_im2col` built outside backward must be dead (without a gc
+    pass) when backward starts, and backward must rebuild the columns of
+    each conv in the graph, one `_im2col` call per lane, in the column buffer
+    of the thread that runs backward. Once backward returns, no node of the
+    graph may still hold a gradient or a rule (with the arrays it saved).
+    Returns the number of conv columns rebuilt per backward call.
     """
-    made, rebuilt, checked = [], [], []
-    im2col, backward = ag._im2col, ag.backward
+    made, rebuilt, checked, buffers = [], [], [], []
+    im2col, column_buffer, backward = ag._im2col, ag._column_buffer, ag.backward
+    in_backward = threading.Event()
+
+    def recording_column_buffer(size, dtype):
+        buf = column_buffer(size, dtype)
+        assert np.shares_memory(buf, ag._COLUMNS.buf)  # the calling thread's buffer
+        buffers.append(buf)
+        return buf
 
     def recording_im2col(x, kh, kw, stride, padding, out=None):
         cols, ho, wo = im2col(x, kh, kw, stride, padding, out)
-        if out is None:
-            made.append(weakref.ref(cols))
+        if in_backward.is_set():
+            rebuilt.append(np.shares_memory(cols, buffers[-1]))
         else:
-            rebuilt.append(np.shares_memory(cols, ag._COLUMNS.buf))
+            made.append(weakref.ref(cols.base))
         return cols, ho, wo
 
     def checking_backward(root):
@@ -468,17 +477,25 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
                 if parent not in seen:
                     seen.add(parent)
                     stack.append(parent)
-        convs = sum(node.rule.__qualname__ == "conv2d.<locals>.bwd" for node in nodes)
+        convs = [node.shape[0] for node in nodes if node.rule.__qualname__ == "conv2d.<locals>.bwd"]
         assert [ref() is None for ref in made] == [True] * len(made)
         made.clear()
-        backward(root)
-        assert rebuilt == [True] * convs
+        in_backward.set()
+        try:
+            backward(root)
+        finally:
+            in_backward.clear()
+        assert len(buffers) == len(convs)
+        assert rebuilt == [True] * sum(len(ag._runs(b)) for b in convs)
         rebuilt.clear()
+        buffers.clear()
         assert [node.grad is None for node in nodes] == [True] * len(nodes)
         assert [node.rule is ag._spent for node in nodes] == [True] * len(nodes)
-        checked.append(convs)
+        checked.append(len(convs))
 
+    monkeypatch.setattr(ag, "_LANES", 2)
     monkeypatch.setattr(ag, "_im2col", recording_im2col)
+    monkeypatch.setattr(ag, "_column_buffer", recording_column_buffer)
     monkeypatch.setattr(ag, "backward", checking_backward)
     train_fn(None)
     return checked
