@@ -13,10 +13,11 @@ col2im sums each input element's kernel taps in a fixed (i, j) order from
 zero whatever the blocking, so the blocking never changes a bit. Conv is
 also the one op that uses more than one core: it splits each batch into
 contiguous runs of items, one per CPU the process may use, and runs them
-on persistent worker threads (lanes) that start with the first conv that
-splits. Each item's im2col, GEMM and col2im are the calls they would be
-on one lane, and the only sums across items (dw, db) are single calls in
-the calling thread, so the lane count never changes a bit either.
+on the worker threads (lanes) of a standard thread pool that starts with
+the first conv that splits. Each item's im2col, GEMM and col2im are the
+calls they would be on one lane, and the only sums across items (dw, db)
+are single calls in the calling thread, so the lane count never changes a
+bit either.
 The graph is made of small nodes, one per recorded tensor, that hold no
 output data: only what each rule saves is kept, so an activation no rule
 reads is freed during the forward pass as soon as Python drops it. The
@@ -24,17 +25,18 @@ backward pass consumes the graph it differentiates, as PyTorch does
 (Paszke et al. 2017): once a node's rule has run, the node drops its
 gradient and the rule, and with the rule the arrays it saved, so a second
 backward through the same graph raises. Conv's rule saves its input, not
-its column matrix (recomputed rather than stored, as in Chen et al. 2016):
-each lane's forward builds the columns for a cache block's worth of whole
-batch items at a time, and backward rebuilds them, each lane its own
-items, in a buffer of the calling thread that lives as long as that thread
-and is the size of the largest column matrix it has differentiated, then
-writes the column gradient over them. Forward-only runs never create the
-buffer. The GEMMs are the per-item calls they always were, so neither the
-chunking nor the recomputation changes a bit. Each gradient keeps the
-memory order of its data (conv outputs are NHWC-strided), since the rules'
-reductions follow that order. Leaf gradients still accumulate across
-separate graphs.
+its column matrix (recomputed rather than stored, as in Chen et al. 2016).
+Forward and backward build columns one way: each lane copies a cache
+block's worth of whole batch items at a time into its padded scratch and
+runs im2col on them. The forward multiplies each chunk into the output;
+backward writes the chunks into a buffer of the calling thread that lives
+as long as that thread and is the size of the largest column matrix it
+has differentiated, then writes the column gradient over them.
+Forward-only runs never create the buffer. The GEMMs are the per-item
+calls they always were, so neither the chunking nor the recomputation
+changes a bit. Each gradient keeps the memory order of its data (conv
+outputs are NHWC-strided), since the rules' reductions follow that order.
+Leaf gradients still accumulate across separate graphs.
 """
 from __future__ import annotations
 
@@ -318,7 +320,7 @@ def backward(root: Tensor) -> None:
 
 
 # Bytes of column matrix handled per block by _im2col/_col2im, and per
-# forward chunk. Each block is touched once per kernel tap, so it has to stay
+# conv chunk. Each block is touched once per kernel tap, so it has to stay
 # in a per-core L2 cache together with its input rows, a further 1/(kh*kw) of
 # its size; then every cache line of the column matrix goes to memory once
 # rather than once per tap. 1 MiB fits the 4 MiB L2 per core of the 2-core
@@ -346,52 +348,29 @@ def _blocks(b: int, rows: int, row_bytes: int):
             yield slice(n, n + 1), r0, min(rows, r0 + per_block)
 
 
-def _padded(x: np.ndarray, padding: int) -> np.ndarray:
-    """x [B, C, H, W] zero-padded on each side, as a [B, C, Hp, Wp] view of
-    NHWC memory: the layout _im2col reads its windows from."""
-    b, c, h, w = x.shape
-    p = padding
-    xn = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-    xn[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
-    return xn.transpose(0, 3, 1, 2)
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, out=None):
-    """[B, C, H, W] -> windows as rows: [B, Ho·Wo, C·kh·kw], (c, i, j) order.
-
-    With padding 0, x is read in place, so an input from _padded costs no
-    copy. `out`, when given, is a flat or contiguous array of x's dtype and
-    the columns' size that takes them.
-    """
-    b, c, hp, wp = x.shape
-    if padding:
-        x = _padded(x, padding)
-        hp, wp = hp + 2 * padding, wp + 2 * padding
-    xn = x.transpose(0, 2, 3, 1)
+def _im2col(xn: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> np.ndarray:
+    """Padded NHWC items [B, Hp, Wp, C] -> windows as rows: [B, Ho·Wo, C·kh·kw],
+    (c, i, j) order, written into `out`, a flat or contiguous array of xn's
+    dtype and the columns' size."""
+    b, hp, wp, c = xn.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    shape = (b, ho, wo, c, kh, kw)
-    cols = np.empty(shape, dtype=x.dtype) if out is None else out.reshape(shape)
+    cols = out.reshape(b, ho, wo, c, kh, kw)
     wend = (wo - 1) * stride + 1
-    for n, r0, r1 in _blocks(b, ho, wo * c * kh * kw * x.itemsize):
+    for n, r0, r1 in _blocks(b, ho, wo * c * kh * kw * xn.itemsize):
         for i in range(kh):
             src = xn[n, r0 * stride + i : (r1 - 1) * stride + i + 1 : stride]
             for j in range(kw):
                 cols[n, r0:r1, :, :, i, j] = src[:, :, j : j + wend : stride]
-    return cols.reshape(b, ho * wo, c * kh * kw), ho, wo
+    return cols.reshape(b, ho * wo, c * kh * kw)
 
 
-def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int, ho: int, wo: int,
-            out=None):
-    """Adjoint of _im2col: sums each input element's taps in (i, j) order.
-
-    `out`, when given, is the zeroed padded NHWC gradient [B, Hp, Wp, C] to
-    sum into.
-    """
-    b, c, h, w = x_shape
-    p = padding
-    hp, wp = h + 2 * p, w + 2 * p
-    dxn = np.zeros((b, hp, wp, c), dtype=dcols.dtype) if out is None else out
+def _col2im(dcols: np.ndarray, dxn: np.ndarray, kh: int, kw: int, stride: int) -> None:
+    """Adjoint of _im2col: adds dcols into the padded NHWC gradient dxn
+    [B, Hp, Wp, C], summing each element's taps in (i, j) order."""
+    b, hp, wp, c = dxn.shape
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
     dwin = dcols.reshape(b, ho, wo, c, kh, kw)
     wend = (wo - 1) * stride + 1
     # blocks run over padded input rows (each takes about 1/stride of a dcols
@@ -407,7 +386,6 @@ def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: 
             dst = dxn[n, lo * stride + i : (hi - 1) * stride + i + 1 : stride]
             for j in range(kw):
                 dst[:, :, j : j + wend : stride] += dwin[n, lo:hi, :, :, i, j]
-    return dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
 
 
 # Conv backward rebuilds its column matrix here rather than keeping it from
@@ -429,37 +407,13 @@ def _column_buffer(size: int, dtype) -> np.ndarray:
 # many runs of items at most, one per lane.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-
-class _Lane:
-    """A persistent worker thread that runs one posted call at a time."""
-
-    def __init__(self, number: int):
-        self.go = threading.Semaphore(0)
-        self.done = threading.Semaphore(0)
-        self.call = self.error = None
-        threading.Thread(target=self._serve, name=f"qcseis-conv-lane-{number}", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self.go.acquire()
-            try:
-                fn, args = self.call
-                fn(*args)
-            except BaseException as exc:  # raised again in the calling thread
-                self.error = exc
-            finally:
-                fn = args = self.call = None  # hold none of the call's arrays while idle
-            self.done.release()
-
-
-_POOL: list = []  # worker lanes, started by the first conv that splits; the caller is lane 0
+_POOL = None, 0  # the worker lanes' executor and its thread count; the caller is lane 0
 _POOL_LOCK = threading.Lock()  # one conv uses the lanes at a time
 
 
 def _reset_pool():
-    global _POOL_LOCK
-    _POOL.clear()  # a forked child has none of the parent's threads
-    _POOL_LOCK = threading.Lock()
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = (None, 0), threading.Lock()  # a forked child has none of the parent's threads
 
 
 if hasattr(os, "register_at_fork"):
@@ -476,44 +430,48 @@ def _on_lanes(fn, calls) -> None:
     """fn(*args) for every args in calls, each on its own lane: the first on
     the calling thread, the rest on worker lanes. Returns once every call has
     run, raising the first error in call order."""
+    global _POOL
     with _POOL_LOCK:
-        while len(_POOL) < len(calls) - 1:
-            _POOL.append(_Lane(len(_POOL) + 1))
-        lanes = _POOL[: len(calls) - 1]
-        for lane, args in zip(lanes, calls[1:]):
-            lane.call = (fn, args)
-            lane.go.release()
+        pool, size = _POOL
+        if size < len(calls) - 1:  # the first conv that splits, or _LANES has grown since
+            # imported here, so that importing qcseis loads no new module
+            from concurrent.futures import ThreadPoolExecutor
+
+            if pool is not None:
+                pool.shutdown(wait=False)  # idle: every call it ran has been waited for
+            size = max(_LANES, len(calls)) - 1
+            pool = ThreadPoolExecutor(size, thread_name_prefix="qcseis-conv-lane")
+            _POOL = pool, size
+        lanes = [pool.submit(fn, *args) for args in calls[1:]]
         try:
             fn(*calls[0])
         finally:
             # the lanes write into the caller's arrays: wait for every one of
             # them, also when the caller's own call or an interrupt raised
-            errors, interrupt = [], None
+            interrupt = None
             for lane in lanes:
                 while True:
                     try:
-                        lane.done.acquire()
+                        lane.exception()
                         break
                     except BaseException as exc:  # raised once every lane is done
                         interrupt = exc
-                errors.append(lane.error)
-                lane.error = None
             if interrupt is not None:
                 raise interrupt
-    for error in errors:
-        if error is not None:
-            raise error
+    for lane in lanes:
+        lane.result()
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B, Cin, H, W] with [Cout, Cin, kh, kw] kernels.
 
     Forward and backward split the batch into one run of items per lane
-    (_runs). The rule saves x; backward rebuilds its columns in the thread's
-    column buffer. Each matmul makes the per-item GEMM calls that one stacked
-    matmul over the full column matrix would, and only the dw and db
-    reductions span items, as single calls, so the lane count never changes
-    a bit.
+    (_runs) and build its columns a chunk of whole items at a time. The rule
+    saves x; backward rebuilds the columns in the thread's column buffer.
+    Each matmul makes the per-item GEMM calls that one stacked matmul over
+    the full column matrix would, and only the dw and db reductions span
+    items, as single calls, so neither the lane count nor the chunking
+    changes a bit.
     """
     _same_dtype(x, weight, bias)
     if x.ndim != 4 or weight.ndim != 4:
@@ -540,44 +498,53 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     runs = _runs(b)
     items = min(max(m - n for n, m in runs), max(1, _BLOCK_BYTES // (size * xd.itemsize)))
     p = padding
+    hp, wp = h + 2 * p, w + 2 * p
+
+    def on_chunks(cols_at, use=None):
+        """On every lane, for each chunk of whole items k..j of its run: copy
+        them into the lane's padded NHWC scratch, build their columns in
+        cols_at(lane, k, j), then use(k, j, cols) if given."""
+        # allocated here in the calling thread, as is every array the lanes
+        # write: one a worker lane allocated would come from its own malloc
+        # arena. The padding borders stay zero from chunk to chunk.
+        padded = np.zeros((len(runs), items, hp, wp, cin), dtype=xd.dtype)
+
+        def run(lane, n, m):
+            xn = padded[lane]
+            for k in range(n, m, items):
+                j = min(m, k + items)
+                xn[: j - k, p : p + h, p : p + w] = xd[k:j].transpose(0, 2, 3, 1)
+                cols = _im2col(xn[: j - k], kh, kw, stride, cols_at(lane, k, j))
+                if use is not None:
+                    use(k, j, cols)
+
+        _on_lanes(run, [(lane, n, m) for lane, (n, m) in enumerate(runs)])
+
     out = np.empty((b, ho * wo, cout), dtype=xd.dtype)
-    # Each lane's scratch, a chunk of columns and the padded NHWC items it is
-    # built from, is allocated here in the calling thread: arrays a worker
-    # lane allocated would come from its own malloc arena. The padding
-    # borders stay zero from chunk to chunk.
     chunks = np.empty((len(runs), items * size), dtype=xd.dtype)
-    padded = np.zeros((len(runs), items, h + 2 * p, w + 2 * p, cin), dtype=xd.dtype)
 
-    def forward(n, m, chunk, xn):
-        for k in range(n, m, items):
-            j = min(m, k + items)
-            xn[: j - k, p : p + h, p : p + w] = xd[k:j].transpose(0, 2, 3, 1)
-            cols = _im2col(xn[: j - k].transpose(0, 3, 1, 2), kh, kw, stride, 0, chunk[: (j - k) * size])[0]
-            np.matmul(cols, wmat.T, out=out[k:j])
-            out[k:j] += bias.data
+    def product(k, j, cols):
+        np.matmul(cols, wmat.T, out=out[k:j])
+        out[k:j] += bias.data
 
-    _on_lanes(forward, [(n, m, chunks[i], padded[i]) for i, (n, m) in enumerate(runs)])
-    del chunks, padded
+    on_chunks(lambda lane, k, j: chunks[lane, : (j - k) * size], product)
+    del chunks
     out = out.transpose(0, 2, 1).reshape(b, cout, ho, wo)
     w_shape = weight.shape
 
     def bwd(g):
-        xpad = _padded(xd, p)
         cols = _column_buffer(b * size, xd.dtype).reshape(b, ho * wo, -1)
-        _on_lanes(lambda n, m: _im2col(xpad[n:m], kh, kw, stride, 0, cols[n:m]), runs)
-        del xpad
+        on_chunks(lambda lane, k, j: cols[k:j])
         gmat = g.reshape(b, cout, ho * wo).transpose(0, 2, 1)
         dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
         db = g.sum(axis=(0, 2, 3))
-        dxn = np.zeros((b, h + 2 * p, w + 2 * p, cin), dtype=xd.dtype)
+        dxn = np.zeros((b, hp, wp, cin), dtype=xd.dtype)
 
         def dx_run(n, m):
-            dcols = np.matmul(gmat[n:m], wmat, out=cols[n:m])
-            _col2im(dcols, (m - n, cin, h, w), kh, kw, stride, p, ho, wo, dxn[n:m])
+            _col2im(np.matmul(gmat[n:m], wmat, out=cols[n:m]), dxn[n:m], kh, kw, stride)
 
         _on_lanes(dx_run, runs)
-        dx = dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
-        return dx, dw, db
+        return dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2), dw, db
 
     return _result(out, (x, weight, bias), bwd)
 

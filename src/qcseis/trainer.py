@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -143,8 +144,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
-        if self.lr is not None and self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if self.lr is not None and not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("learning rate must be finite and positive")
         if self.checkpoint_every < 1:
             raise ValueError("need checkpoint_every >= 1")
         if not (np.isfinite(self.grad_clip) and self.grad_clip >= 0):
@@ -319,9 +320,12 @@ def load_checkpoint(path) -> Checkpoint:
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"{path}: entry {name!r} has unknown dtype tag {tag}")
         dtype = _DTYPE_TAGS[tag]
-        count = int(np.prod(dims)) if dims else 1
-        data = take(count * dtype.itemsize, f"entry {name!r} data")
-        entries[name] = np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+        # sized as Python integers: np.prod wraps around on huge dims
+        data = take(math.prod(dims) * dtype.itemsize, f"entry {name!r} data")
+        try:
+            entries[name] = np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # an empty entry with a dim numpy cannot hold
+            raise CheckpointError(f"{path}: entry {name!r} has dims {dims}: {exc}") from exc
     return Checkpoint(version=version, config=config, entries=entries)
 
 

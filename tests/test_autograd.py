@@ -1,5 +1,7 @@
 """Autograd engine tests: hand examples, FD checks, backward semantics."""
+import itertools
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -112,6 +114,29 @@ def assert_same_bits(new, ref):
     assert np.array_equal(bits(new), bits(ref))
 
 
+def span(a: np.ndarray) -> tuple:
+    """(address, byte count) of an array's memory."""
+    return a.__array_interface__["data"][0], a.nbytes
+
+
+def tiling(spans) -> tuple:
+    """(start, end) of memory that the spans tile end to end, each byte once."""
+    spans = sorted(spans)
+    assert all(s0 + n0 == s1 for (s0, n0), (s1, _) in zip(spans, spans[1:]))
+    return spans[0][0], spans[-1][0] + spans[-1][1]
+
+
+def padded_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
+    """[B, C, H, W] zero-padded on each side, as the [B, Hp, Wp, C] items _im2col reads."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    return np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
+
+
+def cropped_nchw(dxn: np.ndarray, padding: int) -> np.ndarray:
+    """A padded NHWC gradient from _col2im cropped back to [B, C, H, W]."""
+    return dxn[:, padding : dxn.shape[1] - padding, padding : dxn.shape[2] - padding].transpose(0, 3, 1, 2)
+
+
 class TestConvHelpers:
     """Blocked im2col/col2im against the unblocked reference, bit for bit."""
 
@@ -127,20 +152,22 @@ class TestConvHelpers:
         for padding in (0, 1, 2):
             for k in (1, 3, 5):
                 x = rng.normal(size=(3, 2, 9, 11)).astype(dtype)
-                cols, ho, wo = ag._im2col(x, k, k, stride, padding)
-                ref_cols, ref_ho, ref_wo = reference_im2col(x, k, k, stride, padding)
-                assert (ho, wo) == (ref_ho, ref_wo)
+                ref_cols, ho, wo = reference_im2col(x, k, k, stride, padding)
+                cols = ag._im2col(padded_nhwc(x, padding), k, k, stride, np.empty(ref_cols.size, dtype))
                 assert cols.flags.c_contiguous
                 assert_same_bits(cols, ref_cols)
                 dcols = rng.normal(size=cols.shape).astype(dtype)
                 dcols[rng.random(cols.shape) < 0.3] = -0.0
-                assert_same_bits(ag._col2im(dcols, x.shape, k, k, stride, padding, ho, wo),
+                dxn = np.zeros_like(padded_nhwc(x, padding))
+                ag._col2im(dcols, dxn, k, k, stride)
+                assert_same_bits(cropped_nchw(dxn, padding),
                                  reference_col2im(dcols, x.shape, k, k, stride, padding, ho, wo))
 
     def test_negative_zero_taps_sum_to_positive_zero(self):
         dcols = np.full((1, 9, 9), -0.0, dtype=np.float32)
-        dx = ag._col2im(dcols, (1, 1, 3, 3), 3, 3, 1, 1, 3, 3)
-        assert not np.signbit(dx).any()
+        dxn = np.zeros((1, 5, 5, 1), dtype=np.float32)
+        ag._col2im(dcols, dxn, 3, 3, 1)
+        assert not np.signbit(cropped_nchw(dxn, 1)).any()
 
 
 def default_conv_shapes(batch: int) -> list:
@@ -255,20 +282,22 @@ class TestConvLanes:
         assert not out.requires_grad
         assert_same_bits(out.data, reference_conv2d(x, w, b, 1, 1)[0])
 
-    @pytest.mark.parametrize("failing", ["caller", "qcseis-conv-lane-2"])
+    @pytest.mark.parametrize("failing", [0, 2], ids=["caller", "qcseis-conv-lane-2"])
     def test_failing_lane_is_raised_after_every_lane_ran(self, monkeypatch, failing):
+        # 6 items on 3 lanes: runs of 2 items, each built in one chunk, so
+        # each lane makes one _im2col call; run 0 is the caller's
         monkeypatch.setattr(ag, "_LANES", 3)
-        caller, finished = threading.current_thread(), []
+        finished = []
         im2col = ag._im2col
 
-        def failing_im2col(*args):
-            thread = threading.current_thread()
-            lane = "caller" if thread is caller else thread.name
+        def failing_im2col(xn, *args):
+            # the run is told by its first item, read from the padded scratch
+            lane = int(np.flatnonzero(x.data[:, 0, 0, 0] == xn[0, 1, 1, 0])[0]) // 2
             if lane == failing:
                 raise RuntimeError("lane failed")
             time.sleep(0.05)
             finished.append(lane)
-            return im2col(*args)
+            return im2col(xn, *args)
 
         rng = np.random.default_rng(5)
         x, w, b = conv_inputs(rng, (6, 4, 12, 12), (5, 4, 3, 3), np.float32)
@@ -278,6 +307,78 @@ class TestConvLanes:
         assert len(finished) == 2  # the other two lanes ran to the end before the error surfaced
         monkeypatch.setattr(ag, "_im2col", im2col)
         assert_conv_matches_reference(x, w, b, 1, 1, rng)
+
+    def test_interrupt_while_waiting_waits_for_every_lane(self, monkeypatch):
+        # the caller's run returns at once and the worker lanes' runs take
+        # 0.3 s; SIGALRM raises in the caller at 0.1 and 0.2 s, while it waits,
+        # so a wait that gave up on each interrupted lane would end too soon
+        monkeypatch.setattr(ag, "_LANES", 3)
+        finished, alarms = [], []
+
+        class Alarm(Exception):
+            pass
+
+        def run(lane):
+            if lane:
+                time.sleep(0.3)
+            finished.append(lane)
+
+        def on_alarm(signum, frame):
+            alarms.append(signum)
+            if len(alarms) <= 2:
+                raise Alarm
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
+        try:
+            with pytest.raises(Alarm):
+                ag._on_lanes(run, [(0,), (1,), (2,)])
+            seen = sorted(finished)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert seen == [0, 1, 2]  # the interrupt surfaced only once every lane had finished
+
+    def test_every_run_has_its_own_lane_after_the_lane_count_grows(self, monkeypatch):
+        # a pool made at 2 lanes has one worker; at 4 lanes the 4 runs meet at
+        # a barrier, which only a pool grown to 3 workers lets them reach
+        monkeypatch.setattr(ag, "_POOL", (None, 0))
+        monkeypatch.setattr(ag, "_LANES", 2)
+        ag._on_lanes(lambda: None, [(), ()])
+        monkeypatch.setattr(ag, "_LANES", 4)
+        barrier = threading.Barrier(4, timeout=10)
+        try:
+            ag._on_lanes(barrier.wait, [()] * 4)
+        finally:
+            ag._POOL[0].shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_fresh_pool(self, monkeypatch):
+        monkeypatch.setattr(ag, "_LANES", 3)
+        rng = np.random.default_rng(6)
+        x, w, b = conv_inputs(rng, (6, 4, 12, 12), (5, 4, 3, 3), np.float32)
+        g = rng.normal(size=(6, 5, 12, 12)).astype(np.float32)
+        out = ag.conv2d(x, w, b, 1, 1)  # splits, so the pool has started
+        ref = [bits(a) for a in (out.data, *out._backward(g))]
+        pid = os.fork()
+        if pid == 0:  # the child: the parent's lane threads do not exist here
+            code = 1
+            try:
+                out = ag.conv2d(x, w, b, 1, 1)
+                code = int(not all(np.array_equal(bits(a), r) for a, r in zip((out.data, *out._backward(g)), ref)))
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's conv did not finish in 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_import_starts_no_thread_and_no_new_module(self):
         # the standard-library modules the package imports, loaded first, so
@@ -555,10 +656,10 @@ class TestGraphHoldsNoActivation:
         made = []
         im2col = ag._im2col
 
-        def recording_im2col(*args, **kwargs):
-            cols, ho, wo = im2col(*args, **kwargs)
+        def recording_im2col(*args):
+            cols = im2col(*args)
             made.append(weakref.ref(cols.base))  # the array that owns the columns' memory
-            return cols, ho, wo
+            return cols
 
         monkeypatch.setattr(ag, "_im2col", recording_im2col)
         out, norm, act, out2, weighted, root = conv_block(self.x, self.params, self.weights)
@@ -582,36 +683,41 @@ class TestGraphHoldsNoActivation:
             assert_same_bits(released[name], held[name])
 
     def test_conv_backward_reuses_its_column_matrix(self, monkeypatch):
-        made, given = [], []
+        made, events = [], []
         im2col, col2im = ag._im2col, ag._col2im
 
         def recording_im2col(*args):
-            cols, ho, wo = im2col(*args)
+            cols = im2col(*args)
             made.append(cols)
-            return cols, ho, wo
+            events.append(("im2col", span(cols)))
+            return cols
 
         def recording_col2im(dcols, *args):
-            given.append(dcols)
+            events.append(("col2im", span(dcols)))
             return col2im(dcols, *args)
-
-        def span(a):
-            return a.__array_interface__["data"][0], a.nbytes
 
         monkeypatch.setattr(ag, "_LANES", 2)
         monkeypatch.setattr(ag, "_im2col", recording_im2col)
         monkeypatch.setattr(ag, "_col2im", recording_col2im)
         root = conv_block(self.x, self.params, self.weights)[-1]
         forward = made[:]
+        assert len(forward) >= 2
+        assert [kind for kind, _ in events] == ["im2col"] * len(forward)  # the forward sums no dx
         made.clear()
-        assert len(forward) >= 2 and not given
+        events.clear()
         ag.backward(root)
         rebuilt = made
-        # each of the 2 convs rebuilds its columns and sums its dx on 2 lanes
-        assert len(rebuilt) == len(given) == 4
-        # the column gradient is written over the rebuilt columns
-        assert sorted(map(span, given)) == sorted(map(span, rebuilt))
         assert all(np.shares_memory(cols, ag._COLUMNS.buf) for cols in rebuilt)
         assert not any(np.shares_memory(cols, ag._COLUMNS.buf) for cols in forward)
+        # each conv, the second one first, rebuilds its columns a chunk at a
+        # time and then sums its dx on 2 lanes, writing the column gradient
+        # over the rebuilt columns: both cover its column matrix exactly once
+        groups = [(kind, [s for _, s in group]) for kind, group in itertools.groupby(events, lambda e: e[0])]
+        assert [kind for kind, _ in groups] == ["im2col", "col2im"] * 2
+        start = span(ag._COLUMNS.buf)[0]
+        for (_, built), (_, given), cin in zip(groups[::2], groups[1::2], (16, 3)):
+            assert len(given) == 2
+            assert tiling(built) == tiling(given) == (start, start + 4 * 12 * 12 * cin * 9 * 4)
 
     def test_unet_forward_keeps_a_third_of_the_old_bytes(self):
         # Bytes a default UNet forward at batch 2 keeps alive through its

@@ -204,6 +204,15 @@ class TestTrainCommand:
         config.write_text(json.dumps(train_config(tmp_path / "nowhere", tmp_path / "o")))
         assert run_cli(["train", "--config", str(config)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")], ids=json.dumps)
+    def test_non_finite_lr_rejected(self, small_dataset, tmp_path, lr):
+        doc = train_config(small_dataset, tmp_path / "o")
+        doc["train"]["lr"] = lr  # written as NaN or Infinity, which Python's json reads back
+        config = tmp_path / "lr.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli(["train", "--config", str(config)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
     def test_resume_continues_epochs(self, small_dataset, tmp_path, capsys):
         config = tmp_path / "short.json"
         out_dir = tmp_path / "short"
@@ -283,6 +292,16 @@ def rename_entry(name, new):
     return lambda raw: raw.replace(name.encode(), new.encode(), 1)
 
 
+def first_entry_dims(dims):
+    """Give the checkpoint's first entry these dims, keeping its dtype tag and data."""
+    def edit(raw):
+        (n,) = struct.unpack_from("<I", raw, 8)
+        at = 12 + n + 4  # past the header, the config blob and the entry count
+        at += 2 + struct.unpack_from("<H", raw, at)[0]  # past the name
+        return raw[:at] + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + raw[at + 1 + 8 * raw[at]:]
+    return edit
+
+
 def nan_count(name):
     def edit(raw):
         at = raw.index(name.encode()) + len(name) + 2  # rank 0, then the f64 dtype tag
@@ -358,6 +377,18 @@ class TestEvalCommand:
         raw = trained.read_bytes()
         path = tmp_path / "truncated.qckp"
         path.write_bytes(raw[: len(raw) // 2])
+        code = run_cli(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
+                        "--report", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_MISMATCH
+
+    # the first two sizes wrap around to 0 in int64; the third is empty, with
+    # a dim numpy cannot hold
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**62, 4), (0, 2**63)], ids=str)
+    def test_huge_entry_dims_are_checkpoint_errors(self, trained, small_dataset, tmp_path, dims):
+        path = tmp_path / "huge.qckp"
+        path.write_bytes(first_entry_dims(dims)(trained.read_bytes()))
+        with pytest.raises(trainer.CheckpointError, match="entry"):
+            trainer.load_checkpoint(path)
         code = run_cli(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
                         "--report", str(tmp_path / "r.csv")])
         assert code == cli.EXIT_MISMATCH

@@ -444,14 +444,18 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
     Conv keeps no column matrix from forward to backward: every array that
     owns columns `_im2col` built outside backward must be dead (without a gc
     pass) when backward starts, and backward must rebuild the columns of
-    each conv in the graph, one `_im2col` call per lane, in the column buffer
-    of the thread that runs backward. Once backward returns, no node of the
+    each conv in the graph, a chunk of items per `_im2col` call, in the
+    column buffer of the thread that runs backward, the chunks covering the
+    conv's column matrix exactly once. Once backward returns, no node of the
     graph may still hold a gradient or a rule (with the arrays it saved).
-    Returns the number of conv columns rebuilt per backward call.
+    Returns the number of convs differentiated per backward call.
     """
     made, rebuilt, checked, buffers = [], [], [], []
     im2col, column_buffer, backward = ag._im2col, ag._column_buffer, ag.backward
     in_backward = threading.Event()
+
+    def span(a):
+        return a.__array_interface__["data"][0], a.nbytes
 
     def recording_column_buffer(size, dtype):
         buf = column_buffer(size, dtype)
@@ -459,13 +463,14 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
         buffers.append(buf)
         return buf
 
-    def recording_im2col(x, kh, kw, stride, padding, out=None):
-        cols, ho, wo = im2col(x, kh, kw, stride, padding, out)
+    def recording_im2col(*args):
+        cols = im2col(*args)
         if in_backward.is_set():
-            rebuilt.append(np.shares_memory(cols, buffers[-1]))
+            assert np.shares_memory(cols, buffers[-1])
+            rebuilt.append((len(buffers) - 1, span(cols)))
         else:
             made.append(weakref.ref(cols.base))
-        return cols, ho, wo
+        return cols
 
     def checking_backward(root):
         nodes, stack, seen = [], [root._node], {root._node}
@@ -486,7 +491,10 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
         finally:
             in_backward.clear()
         assert len(buffers) == len(convs)
-        assert rebuilt == [True] * sum(len(ag._runs(b)) for b in convs)
+        for i, buf in enumerate(buffers):
+            chunks = sorted(s for k, s in rebuilt if k == i)
+            assert all(s0 + n0 == s1 for (s0, n0), (s1, _) in zip(chunks, chunks[1:]))
+            assert (chunks[0][0], sum(n for _, n in chunks)) == span(buf)
         rebuilt.clear()
         buffers.clear()
         assert [node.grad is None for node in nodes] == [True] * len(nodes)
