@@ -330,7 +330,8 @@ def backward(root: Tensor) -> None:
 # about 9k of them, so two lanes spend their time handing the GIL back and
 # forth. On that Xeon (batch 16, float32) that im2col took 68 ms on one lane
 # and 76 ms on two at 256 KiB, 63 ms and 36 ms at 1 MiB; its col2im 85 and
-# 101 ms, then 65 and 42 ms.
+# 101 ms, then 65 and 42 ms. The quantum layer sizes its window chunks by
+# it too (qlayer._on_window_chunks).
 _BLOCK_BYTES = 1024 * 1024
 
 
@@ -404,11 +405,12 @@ def _column_buffer(size: int, dtype) -> np.ndarray:
 
 
 # CPUs this process may run on, read once: conv splits each batch into this
-# many runs of items at most, one per lane.
+# many runs of items at most, and the quantum layer its windows into this
+# many runs of chunks, one per lane.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _POOL = None, 0  # the worker lanes' executor and its thread count; the caller is lane 0
-_POOL_LOCK = threading.Lock()  # one conv uses the lanes at a time
+_POOL_LOCK = threading.Lock()  # one caller uses the lanes at a time
 
 
 def _reset_pool():
@@ -421,7 +423,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _runs(b: int) -> list:
-    """Contiguous (n, m) runs of a batch's items, one per lane, as even as possible."""
+    """Contiguous (n, m) runs of b items, one per lane, as even as possible."""
     k = max(1, min(_LANES, b))
     return [(i * b // k, (i + 1) * b // k) for i in range(k)]
 
@@ -433,14 +435,14 @@ def _on_lanes(fn, calls) -> None:
     global _POOL
     with _POOL_LOCK:
         pool, size = _POOL
-        if size < len(calls) - 1:  # the first conv that splits, or _LANES has grown since
+        if size < len(calls) - 1:  # the first call that splits, or _LANES has grown since
             # imported here, so that importing qcseis loads no new module
             from concurrent.futures import ThreadPoolExecutor
 
             if pool is not None:
                 pool.shutdown(wait=False)  # idle: every call it ran has been waited for
             size = max(_LANES, len(calls)) - 1
-            pool = ThreadPoolExecutor(size, thread_name_prefix="qcseis-conv-lane")
+            pool = ThreadPoolExecutor(size, thread_name_prefix="qcseis-lane")
             _POOL = pool, size
         lanes = [pool.submit(fn, *args) for args in calls[1:]]
         try:

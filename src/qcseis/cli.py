@@ -198,22 +198,23 @@ def cmd_train(args) -> int:
         raise ConfigError(f"task {train_set.task!r} needs model family {expected_family!r}, "
                           f"config says {family!r}")
 
+    # every input is checked and loaded before out_dir is made, so a bad
+    # model section or resume checkpoint leaves nothing behind
+    model_cfgs = _model_configs(cfg["model"], train_set.patch_shape, family)
+    resume = trainer.load_checkpoint(args.resume) if args.resume else None
     out_dir = Path(cfg["train"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
 
-    resume = trainer.load_checkpoint(args.resume) if args.resume else None
-    patch = train_set.patch_shape
     init_seed = cfg["model"]["init_seed"]
     if family == "qcgan":
-        gcfg, dcfg = _model_configs(cfg["model"], patch, family)
+        gcfg, dcfg = model_cfgs
         gen = mdl.Generator(gcfg, init_seed=init_seed)
         disc = mdl.Discriminator(dcfg, init_seed=init_seed + 1)
         history = trainer.train_gan(gen, disc, train_set, val_set, tc, out_dir, resume=resume)
     else:
-        ucfg = _model_configs(cfg["model"], patch, family)
-        model = mdl.UNet(ucfg, init_seed=init_seed)
+        model = mdl.UNet(model_cfgs, init_seed=init_seed)
         history = trainer.train_unet(model, train_set, val_set, tc, out_dir, resume=resume)
 
     val_rows = [row for row in history if row[1] == "val"]

@@ -10,8 +10,8 @@ each expectation is the exact quadratic form E_k(x) = a(x)^T H_k a(x) with
 H_k = M_k diag(z) M_k^T, where row r of M_k is basis state r evolved by
 circuit k (run through qsim, which holds the only gate kernels) and z is
 the Pauli-Z sign pattern of qubit 0. H_k is cached by circuit content, and
-the K matrices are stacked so a call multiplies them with the amplitudes,
-held amplitude-major as [2^n, windows], in one GEMM. Since
+the K matrices are stacked so each chunk of windows multiplies them with
+its amplitudes, held amplitude-major as [2^n, windows], in one GEMM. Since
 da/dx_j = a(x + pi e_j) / 2 and H_k is symmetric,
 dE_k/dx_j = (H_k a) . a(x + pi e_j); for a product state a(x + pi e_j) is
 a(x) with the halves where qubit j is 0 and 1 swapped and the first
@@ -44,7 +44,8 @@ _WORKERS = 1
 
 
 def set_workers(n: int) -> None:
-    """Record a worker count; kept for callers, the layer starts no threads."""
+    """Record a worker count, kept for callers; it selects nothing. The
+    layer's window chunks run on autograd's lanes, one per usable CPU."""
     global _WORKERS
     _WORKERS = max(1, int(n))
 
@@ -171,36 +172,76 @@ def _check_circuits(circuits, cfg: QuantumLayerConfig):
             )
 
 
+def _on_window_chunks(m: int, window_bytes: int, fn) -> None:
+    """fn(r0, r1) for every chunk [r0, r1) of m windows, split over the lanes.
+
+    A chunk holds as many windows as keep their projected amplitudes,
+    `window_bytes` each, within autograd's cache block, rounded down to a
+    multiple of 64 and at least 64: 2048 for the default layer. Chunks start
+    at multiples of that from window 0, the last one takes the remainder,
+    and each lane takes a contiguous run of whole chunks, so the grid, and
+    every bit, is the same at any lane count. Where a chunk is past
+    OpenBLAS's small-matrix limit (3 or more qubits at the default block)
+    the grid also gives the bits of one whole-array GEMM. On OpenBLAS whole
+    groups of 8 columns come out the same in any GEMM, but a GEMM's last
+    N mod 8 columns take a kernel that depends on its size: GEMV for one
+    column, a small-matrix path below about 10^6 / (M·K) columns (976
+    windows for the default layer). Chunks of a multiple of 64 put the
+    last chunk's tail where the whole array's is, and a last chunk at
+    least a chunk long runs it on the same kernel. An even split per lane
+    would move the tail.
+    """
+    step = max(64, ag._BLOCK_BYTES // window_bytes // 64 * 64)
+    chunks = max(1, m // step)
+
+    def run(n, e):
+        for i in range(n, e):
+            fn(i * step, m if i == chunks - 1 else (i + 1) * step)
+
+    ag._on_lanes(run, ag._runs(chunks))
+
+
 def quantum_forward(x, circuits, cfg: QuantumLayerConfig, workers: int | None = None) -> np.ndarray:
     """Quantum feature map of [B, C, T, S]: one channel per circuit.
 
     Expectations are averaged over input channels, then repeated along the
     trace axis (and cropped) so the output [B, K, T, S] is spatially
-    aligned with the input for channel-wise concatenation. `workers` is
-    accepted for callers and selects nothing.
+    aligned with the input for channel-wise concatenation. The windows run
+    in cache-sized chunks on the lanes (_on_window_chunks), each encoded,
+    projected and contracted on its own, and the lane count changes no bit
+    of the result. `workers` is accepted for callers and selects nothing.
     """
     arr = _as_array(x).astype(np.float64, copy=False)
     _check_circuits(circuits, cfg)
     b, c, t, s = arr.shape
     rows = unfold(arr, cfg) * cfg.input_scale
-    amps = _encode_rows(rows)
-    projected = (_observables(circuits) @ amps).reshape(len(circuits), *amps.shape)
-    y = np.einsum("kdm,dm->km", projected, amps)
-    s_out = rows.shape[0] // (b * c * t)
-    fmap = y.reshape(len(circuits), b, c, t, s_out).mean(axis=2)
+    h = _observables(circuits)
+    k, m = len(circuits), rows.shape[0]
+    y = np.empty((k, m))
+
+    def chunk(r0, r1):
+        amps = _encode_rows(rows[r0:r1])
+        projected = (h @ amps).reshape(k, *amps.shape)
+        y[:, r0:r1] = np.einsum("kdm,dm->km", projected, amps)
+
+    _on_window_chunks(m, h.shape[0] * h.itemsize, chunk)
+    s_out = m // (b * c * t)
+    fmap = y.reshape(k, b, c, t, s_out).mean(axis=2)
     fmap = np.repeat(fmap, cfg.stride, axis=-1)[..., :s]
     return fmap.transpose(1, 0, 2, 3)
 
 
 def quantum_input_grad(upstream: np.ndarray, x_shape: tuple, rows: np.ndarray, circuits,
                        cfg: QuantumLayerConfig) -> np.ndarray:
-    """Input gradient of quantum_forward in closed form.
+    """Input gradient of quantum_forward in closed form, in the forward's
+    window chunks on the lanes.
 
-    `rows` must be the scaled window matrix saved from the forward pass.
+    `rows` must be the scaled window matrix of the forward's input.
     """
     b, c, t, s = x_shape
     k = len(circuits)
-    s_out = rows.shape[0] // (b * c * t)
+    m = rows.shape[0]
+    s_out = m // (b * c * t)
     padded = s_out * cfg.stride
 
     up = np.zeros((b, k, t, padded))
@@ -208,19 +249,24 @@ def quantum_input_grad(upstream: np.ndarray, x_shape: tuple, rows: np.ndarray, c
     per_window = up.reshape(b, k, t, s_out, cfg.stride).sum(axis=-1)
     # channel-mean adjoint: every input channel sees the same coefficient / C
     coef = np.repeat(per_window[:, None] / c, c, axis=1)  # [B, C, K, T, S']
-    coef_flat = coef.transpose(2, 0, 1, 3, 4).reshape(k, rows.shape[0])
-
-    amps = _encode_rows(rows)
-    dim, m = amps.shape
-    # upstream-weighted sum of every circuit's H_k a, one GEMM since each H_k is symmetric
-    weighted = _observables(circuits).T @ (coef_flat[:, None, :] * amps).reshape(k * dim, m)
-    # a(x + pi e_j) is a(x) with qubit j's halves swapped and the bit-0 half negated
+    coef_flat = coef.transpose(2, 0, 1, 3, 4).reshape(k, m)
+    h = _observables(circuits)
+    dim = h.shape[1]
     grad_rows = np.empty_like(rows)
-    for j in range(rows.shape[1]):
-        a = amps.reshape(-1, 2, 2 ** j, m)
-        w = weighted.reshape(-1, 2, 2 ** j, m)
-        grad_rows[:, j] = (np.einsum("hlm,hlm->m", w[:, 1], a[:, 0])
-                           - np.einsum("hlm,hlm->m", w[:, 0], a[:, 1]))
+
+    def chunk(r0, r1):
+        amps = _encode_rows(rows[r0:r1])
+        w = r1 - r0
+        # upstream-weighted sum of every circuit's H_k a, one GEMM since each H_k is symmetric
+        weighted = h.T @ (coef_flat[:, None, r0:r1] * amps).reshape(k * dim, w)
+        # a(x + pi e_j) is a(x) with qubit j's halves swapped and the bit-0 half negated
+        for j in range(rows.shape[1]):
+            a = amps.reshape(-1, 2, 2 ** j, w)
+            hw = weighted.reshape(-1, 2, 2 ** j, w)
+            grad_rows[r0:r1, j] = (np.einsum("hlm,hlm->m", hw[:, 1], a[:, 0])
+                                   - np.einsum("hlm,hlm->m", hw[:, 0], a[:, 1]))
+
+    _on_window_chunks(m, h.shape[0] * h.itemsize, chunk)
     grad_rows *= cfg.input_scale
 
     grad_pad = grad_rows.reshape(b, c, t, padded)
@@ -232,12 +278,13 @@ def quantum_input_grad(upstream: np.ndarray, x_shape: tuple, rows: np.ndarray, c
 
 def quantum_conv(x: ag.Tensor, circuits, cfg: QuantumLayerConfig) -> ag.Tensor:
     """Autograd-integrated quantum feature layer on a [B, C, T, S] tensor."""
-    arr = x.data.astype(np.float64, copy=False)
-    rows = unfold(arr, cfg) * cfg.input_scale
-    out = quantum_forward(arr, circuits, cfg).astype(x.data.dtype)
+    data = x.data
+    out = quantum_forward(data.astype(np.float64, copy=False), circuits, cfg).astype(data.dtype)
     shape, dtype = x.shape, x.dtype
 
     def bwd(g):
+        # the rule saves the input; the windows are unfolded only when a backward runs
+        rows = unfold(data.astype(np.float64, copy=False), cfg) * cfg.input_scale
         gin = quantum_input_grad(g.astype(np.float64), shape, rows, circuits, cfg)
         return (gin.astype(dtype),)
 

@@ -16,6 +16,7 @@ import pytest
 from qcseis import autograd as ag
 from qcseis import gradcheck
 from qcseis import models as mdl
+from qcseis import qlayer
 
 
 def t32(data, grad=False):
@@ -396,6 +397,88 @@ class TestConvLanes:
         threads, *new = done.stdout.split()
         assert threads == "1"
         assert [m for m in new if m.split(".")[0] != "qcseis"] == []
+
+
+class TestQuantumLanes:
+    """The quantum layer cuts its windows into chunks on a fixed grid from
+    window 0, the last chunk taking the remainder, and each lane takes a
+    run of whole chunks; the lane count changes no bit, the default chunks
+    give the bits of one whole-array chunk, and a failing chunk is raised in
+    the caller."""
+
+    CFG = qlayer.QuantumLayerConfig(seed=7, input_scale=0.9)
+
+    def inputs(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape)
+        upstream = rng.normal(size=(shape[0], self.CFG.n_circuits) + shape[2:])
+        return x, upstream, qlayer.unfold(x, self.CFG) * self.CFG.input_scale
+
+    def outputs(self, x, upstream, rows):
+        circuits = self.CFG.make_circuits()
+        return (qlayer.quantum_forward(x, circuits, self.CFG),
+                qlayer.quantum_input_grad(upstream, x.shape, rows, circuits, self.CFG))
+
+    # 7920, 7425 and 60 windows, where an even split per lane would move
+    # GEMM tails (the last two are not multiples of 8), and the GAN's
+    # largest and smallest calls
+    @pytest.mark.parametrize("shape", [(5, 3, 33, 61), (5, 3, 33, 57), (3, 2, 5, 7), (16, 8, 32, 32),
+                                       (16, 8, 4, 4)], ids=str)
+    def test_lane_count_changes_nothing(self, monkeypatch, shape):
+        x, upstream, rows = self.inputs(shape)
+        # chunks of 2048 (the default), 1024 and 64 windows: all leave a
+        # ragged last chunk on some of the shapes
+        for block in (1 << 20, 1 << 19, 1):
+            monkeypatch.setattr(ag, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(ag, "_LANES", 1)
+            ref = self.outputs(x, upstream, rows)
+            for lanes in (2, 3, 17):
+                monkeypatch.setattr(ag, "_LANES", lanes)
+                for new, old in zip(self.outputs(x, upstream, rows), ref):
+                    assert_same_bits(new, old)
+
+    # 4101 windows: two chunks of 2048 and a remainder of 5, which on its
+    # own would take another GEMM kernel than the whole array's last 5 columns
+    @pytest.mark.parametrize("shape", [(1, 3, 1367, 4), (5, 3, 33, 57), (16, 8, 32, 32)], ids=str)
+    def test_default_chunks_match_one_chunk(self, monkeypatch, shape):
+        x, upstream, rows = self.inputs(shape)
+        monkeypatch.setattr(ag, "_LANES", 2)
+        chunked = self.outputs(x, upstream, rows)
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", 1 << 40)
+        for new, old in zip(chunked, self.outputs(x, upstream, rows)):
+            assert_same_bits(new, old)
+
+    @pytest.mark.parametrize("failing", [0, 2], ids=["caller", "lane-2"])
+    def test_failing_chunk_is_raised_after_every_lane_ran(self, monkeypatch, failing):
+        # 384 windows in chunks of 64 on 3 lanes: runs of two chunks, each
+        # encoded once; run 0 is the caller's
+        monkeypatch.setattr(ag, "_LANES", 3)
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", 1)
+        cfg = qlayer.QuantumLayerConfig(seed=7)
+        circuits = cfg.make_circuits()
+        x = np.random.default_rng(9).normal(size=(2, 3, 4, 64))
+        rows = qlayer.unfold(x, cfg)
+        finished = []
+        encode = qlayer._encode_rows
+
+        def failing_encode(chunk):
+            # the run is told by the chunk's first window
+            lane = int(np.flatnonzero((rows == chunk[0]).all(axis=1))[0]) // 128
+            if lane == failing:
+                raise RuntimeError("chunk failed")
+            time.sleep(0.05)
+            finished.append(lane)
+            return encode(chunk)
+
+        monkeypatch.setattr(qlayer, "_encode_rows", failing_encode)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            qlayer.quantum_forward(x, circuits, cfg)
+        # the other two lanes ran both their chunks before the error surfaced
+        assert sorted(finished) == sorted(2 * [lane for lane in range(3) if lane != failing])
+        monkeypatch.setattr(qlayer, "_encode_rows", encode)
+        out = qlayer.quantum_forward(x, circuits, cfg)
+        monkeypatch.setattr(ag, "_LANES", 1)
+        assert_same_bits(out, qlayer.quantum_forward(x, circuits, cfg))
 
 
 class TestPrelu:

@@ -166,7 +166,7 @@ class TestConfigSchema:
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "out" / "last.qckp").exists()
+        assert not (tmp_path / "out").exists()  # rejected before the run directory is made
 
 
 class TestTrainCommand:
