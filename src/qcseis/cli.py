@@ -127,14 +127,16 @@ def resolve_config(doc: dict) -> dict:
     return resolved
 
 
-def _model_configs(model_cfg: dict, patch: tuple, family: str):
+def _models(model_cfg: dict, patch: tuple) -> tuple:
+    """The networks a model section describes: (generator, discriminator) or (unet,)."""
     common = {key: model_cfg[key] for key in _NET_KEYS}
     common.update(patch_height=patch[0], patch_width=patch[1])
-    if family == "qcgan":
-        gen = mdl.GeneratorConfig(blocks=model_cfg["blocks"], **common)
-        disc = mdl.DiscriminatorConfig(blocks=model_cfg["blocks"], **common)
-        return gen, disc
-    return mdl.UNetConfig(**common)
+    init_seed = model_cfg["init_seed"]
+    if model_cfg["family"] == "qcgan":
+        common["blocks"] = model_cfg["blocks"]
+        return (mdl.Generator(mdl.GeneratorConfig(**common), init_seed=init_seed),
+                mdl.Discriminator(mdl.DiscriminatorConfig(**common), init_seed=init_seed + 1))
+    return (mdl.UNet(mdl.UNetConfig(**common), init_seed=init_seed),)
 
 
 def _train_config(train_cfg: dict) -> trainer.TrainConfig:
@@ -198,24 +200,17 @@ def cmd_train(args) -> int:
         raise ConfigError(f"task {train_set.task!r} needs model family {expected_family!r}, "
                           f"config says {family!r}")
 
-    # every input is checked and loaded before out_dir is made, so a bad
-    # model section or resume checkpoint leaves nothing behind
-    model_cfgs = _model_configs(cfg["model"], train_set.patch_shape, family)
+    # the networks are built and the resume checkpoint loaded before out_dir
+    # is made, so a bad model section or checkpoint file leaves nothing behind
+    nets = _models(cfg["model"], train_set.patch_shape)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
     out_dir = Path(cfg["train"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
 
-    init_seed = cfg["model"]["init_seed"]
-    if family == "qcgan":
-        gcfg, dcfg = model_cfgs
-        gen = mdl.Generator(gcfg, init_seed=init_seed)
-        disc = mdl.Discriminator(dcfg, init_seed=init_seed + 1)
-        history = trainer.train_gan(gen, disc, train_set, val_set, tc, out_dir, resume=resume)
-    else:
-        model = mdl.UNet(model_cfgs, init_seed=init_seed)
-        history = trainer.train_unet(model, train_set, val_set, tc, out_dir, resume=resume)
+    train = trainer.train_gan if family == "qcgan" else trainer.train_unet
+    history = train(*nets, train_set, val_set, tc, out_dir, resume=resume)
 
     val_rows = [row for row in history if row[1] == "val"]
     summary = {
@@ -337,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", required=True)
     train.add_argument("--resume", default=None, help="checkpoint to continue from")
     train.add_argument("--workers", type=int, default=None,
-                       help="accepted for older scripts; the quantum layer starts no threads")
+                       help="accepted for older scripts; it changes nothing")
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a test split")

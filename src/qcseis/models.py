@@ -4,16 +4,19 @@ Every architecture comes in a quantum-on and a quantum-off (classical
 twin) variant. In the quantum variant each fusion site splits its input
 channels, runs a classical convolutional path next to the quantum feature
 layer, and concatenates the two; the classical twin routes the whole
-partition through the convolutional path instead. Pre-concatenation
-feature pairs are kept after each forward pass for the complementarity
-loss.
+partition through the convolutional path instead. Each forward pass
+keeps its pre-concatenation feature pairs on the network, for the
+complementarity loss.
 
 The three families share one design, declared once: `NetConfig` holds
 the settings and defaults they have in common (width, quantum split,
 circuits, patch size), and `_Network` owns the config, the kept pairs and
-the architecture dict that checkpoints record. Each family adds only its
-own fields, its layers and its forward pass. `arch_signature` is the part
-of that dict a checkpoint is checked on: the fields the family reads.
+the architecture dict that checkpoints record. The generator and the
+discriminator also share one trunk, `_DualPath`: the strided stem and
+the stack of dual-path blocks, run by one method that collects the
+blocks' pairs. Each family adds only its own fields, its other layers
+and its forward pass. `arch_signature` is the part of that dict a
+checkpoint is checked on: the fields the family reads.
 """
 from __future__ import annotations
 
@@ -89,14 +92,6 @@ class Module:
 
     def eval(self):
         return self.train(False)
-
-    def release_pairs(self):
-        """Forget the complementarity pairs of the last forward, and the graph they reach."""
-        for key in ("pair", "_pairs"):
-            if key in vars(self):
-                object.__setattr__(self, key, None)
-        for child in self._modules.values():
-            child.release_pairs()
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -233,7 +228,7 @@ class HybridResidualBlock(Module):
     skip; the quantum partition (when enabled) goes through the quantum
     layer. The two maps are concatenated channel-wise and optionally fused
     back to the block width by a 1x1 conv. The pre-concatenation pair is
-    kept on `self.pair` for the complementarity loss.
+    kept on `self.pair` until the network that runs the block collects it.
     """
 
     def __init__(self, channels, quantum_channels, qcfg, rng, quantum=True, fuse=True, dtype=np.float32):
@@ -309,6 +304,8 @@ class NetConfig:
     def __post_init__(self):
         if self.base_channels < 1:
             raise ValueError("need at least one base channel")
+        if not np.isfinite(self.quantum_fraction):
+            raise ValueError(f"quantum_fraction must be finite, got {self.quantum_fraction}")
 
 
 @dataclass
@@ -349,6 +346,10 @@ class _Network(Module):
         self.cfg = cfg
         self._pairs = None
 
+    def release_pairs(self):
+        """Forget the complementarity pairs of the last forward, and the graph they reach."""
+        self._pairs = None
+
     @property
     def complementarity_pairs(self):
         if self._pairs is None:
@@ -359,7 +360,45 @@ class _Network(Module):
         return {"family": self.family, "config": asdict(self.cfg)}
 
 
-class Generator(_Network):
+class _DualPath(_Network):
+    """Trunk the GAN networks share: a strided stem, then a stack of dual-path blocks.
+
+    Block l draws its circuits from seed `circuit_seed + seed_offset + l`.
+    Each forward moves every block's pair into the network's own list.
+    """
+
+    def __init__(self, cfg, rng, dtype, seed_offset: int, fuse_last: bool):
+        super().__init__(cfg)
+        c0 = cfg.base_channels
+        qch = _quantum_partition(c0, cfg.quantum_fraction)
+        self.stem = Conv2d(1, c0, 3, rng, stride=2, padding=1, dtype=dtype)
+        self.stem_act = PReLU(c0, dtype=dtype)
+        self.blocks = ModuleList(
+            [
+                HybridResidualBlock(
+                    c0, qch, _layer_qcfg(cfg, cfg.circuit_seed + seed_offset + l), rng,
+                    quantum=cfg.quantum, fuse=fuse_last or l < cfg.blocks - 1, dtype=dtype,
+                )
+                for l in range(cfg.blocks)
+            ]
+        )
+
+    def _trunk(self, x: Tensor, pool: bool):
+        """(stem output, block-stack output); `pool` halves the map before every block but the first."""
+        x0 = self.stem_act(self.stem(x))
+        h = x0
+        self._pairs = []
+        for l, block in enumerate(self.blocks):
+            if pool and l:
+                h = ag.avgpool2d(h, 2)
+            h = block(h)
+            if block.pair is not None:
+                self._pairs.append(block.pair)
+                block.pair = None
+        return x0, h
+
+
+class Generator(_DualPath):
     """Restoration network: strided stem, dual-path blocks, sub-pixel upsample."""
 
     family = "generator"
@@ -368,22 +407,10 @@ class Generator(_Network):
     retired = {"upsample_factor": 2}
 
     def __init__(self, cfg: GeneratorConfig, init_seed: int = 0, dtype=np.float32):
-        super().__init__(cfg)
         rng = np.random.default_rng(init_seed)
-        c0 = cfg.base_channels
-        qch = _quantum_partition(c0, cfg.quantum_fraction)
-        self.stem = Conv2d(1, c0, 3, rng, stride=2, padding=1, dtype=dtype)
-        self.stem_act = PReLU(c0, dtype=dtype)
-        self.blocks = ModuleList(
-            [
-                HybridResidualBlock(
-                    c0, qch, _layer_qcfg(cfg, cfg.circuit_seed + l), rng,
-                    quantum=cfg.quantum, fuse=True, dtype=dtype,
-                )
-                for l in range(cfg.blocks)
-            ]
-        )
-        self.up_conv = Conv2d(c0, 4, 3, rng, padding=1, dtype=dtype)  # one channel per 2x2 sub-pixel
+        super().__init__(cfg, rng, dtype, seed_offset=0, fuse_last=True)
+        # one channel per 2x2 sub-pixel
+        self.up_conv = Conv2d(cfg.base_channels, 4, 3, rng, padding=1, dtype=dtype)
         self.out_conv = Conv2d(1, 1, 3, rng, padding=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -394,20 +421,12 @@ class Generator(_Network):
             raise ag.ShapeError(f"generator needs even patch dims, got {t}x{s}")
         if self.cfg.quantum and s // 2 < self.cfg.n_qubits:
             raise ag.ShapeError(f"trace axis {s} too short for the quantum window after the stem")
-        x0 = self.stem_act(self.stem(x))
-        h = x0
-        pairs = []
-        for block in self.blocks:
-            h = block(h)
-            if block.pair is not None:
-                pairs.append(block.pair)
-        h = ag.add(x0, h)
-        up = ag.pixel_shuffle(self.up_conv(h), 2)
-        self._pairs = pairs
+        x0, h = self._trunk(x, pool=False)
+        up = ag.pixel_shuffle(self.up_conv(ag.add(x0, h)), 2)
         return self.out_conv(up)
 
 
-class Discriminator(_Network):
+class Discriminator(_DualPath):
     """Real/fake scorer: dual-path blocks with pooling, then flatten + fc + sigmoid.
 
     The last block skips the 1x1 fusion so the concatenated classical and
@@ -418,35 +437,19 @@ class Discriminator(_Network):
     config_type = DiscriminatorConfig
 
     def __init__(self, cfg: DiscriminatorConfig, init_seed: int = 0, dtype=np.float32):
-        super().__init__(cfg)
-        rng = np.random.default_rng(init_seed)
-        c0 = cfg.base_channels
-        qch = _quantum_partition(c0, cfg.quantum_fraction)
         t, s = cfg.patch_height, cfg.patch_width
         if t % 2 or s % 2:
             raise ValueError(f"patch dims must be even, got {t}x{s}")
-        self.stem = Conv2d(1, c0, 3, rng, stride=2, padding=1, dtype=dtype)
-        self.stem_act = PReLU(c0, dtype=dtype)
-        blocks = []
         h, w = t // 2, s // 2
-        for l in range(cfg.blocks):
-            last = l == cfg.blocks - 1
-            blocks.append(
-                HybridResidualBlock(
-                    c0, qch, _layer_qcfg(cfg, cfg.circuit_seed + 1000 + l), rng,
-                    quantum=cfg.quantum, fuse=not last, dtype=dtype,
-                )
-            )
-            if not last:
-                if h % 2 or w % 2:
-                    raise ValueError(
-                        f"patch {t}x{s} cannot be pooled {cfg.blocks - 1} times after the stem"
-                    )
-                h, w = h // 2, w // 2
+        for _ in range(cfg.blocks - 1):
+            if h % 2 or w % 2:
+                raise ValueError(f"patch {t}x{s} cannot be pooled {cfg.blocks - 1} times after the stem")
+            h, w = h // 2, w // 2
         if cfg.quantum and w < cfg.n_qubits:
             raise ValueError(f"final trace axis {w} too short for the quantum window")
-        self.blocks = ModuleList(blocks)
-        self.feature_dim = blocks[-1].out_channels * h * w
+        rng = np.random.default_rng(init_seed)
+        super().__init__(cfg, rng, dtype, seed_offset=1000, fuse_last=False)
+        self.feature_dim = self.blocks[-1].out_channels * h * w
         self.head = Linear(self.feature_dim, 1, rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -457,15 +460,7 @@ class Discriminator(_Network):
                 f"discriminator configured for {self.cfg.patch_height}x{self.cfg.patch_width} "
                 f"patches, got {x.shape[2]}x{x.shape[3]}"
             )
-        h = self.stem_act(self.stem(x))
-        pairs = []
-        for l, block in enumerate(self.blocks):
-            h = block(h)
-            if block.pair is not None:
-                pairs.append(block.pair)
-            if l < len(self.blocks) - 1:
-                h = ag.avgpool2d(h, 2)
-        self._pairs = pairs
+        _, h = self._trunk(x, pool=True)
         return ag.sigmoid(self.head(ag.flatten(h)))
 
 

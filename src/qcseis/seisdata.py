@@ -96,8 +96,7 @@ class DegradationSpec:
                              f"<= {_MISSING_FRACTIONS[1]}, got ({lo}, {hi})")
         if self.regular_pattern != "keep2drop1":
             raise ValueError("only the keep-two-drop-one regular pattern is supported")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise sigma must be positive")
+        _check_positive("noise sigma", self.noise_sigma)
         for band in (self.input_band, self.label_band):
             if band[1] <= band[0] or band[0] < 0:
                 raise ValueError(f"band {band} must be ordered and non-negative")
@@ -250,8 +249,7 @@ def degrade_mask_regular(patch):
 
 def degrade_noise(patch, sigma: float, seed=0):
     """Add i.i.d. zero-mean Gaussian noise with the given standard deviation."""
-    if sigma <= 0:
-        raise ValueError("noise sigma must be positive")
+    _check_positive("noise sigma", sigma)
     data, wrap = _unwrap(patch)
     rng = np.random.default_rng(seed)
     return wrap(data + rng.normal(0.0, sigma, size=data.shape))

@@ -3,9 +3,10 @@
 `train_gan` (adversarial) and `train_unet` (supervised) each define one
 training step and hand it to `_fit`, the epoch loop both families share:
 resume, data order, history, validation and checkpoints live there once.
-Training is deterministic for a fixed seed and worker count: data order
-comes from a dedicated generator whose state rides along in checkpoints,
-so a resumed run continues bit-identically. Checkpoints use the QCKP
+Training is deterministic for a fixed seed, at any number of lanes (the
+threads conv and the quantum layer split a batch over): data order comes
+from a dedicated generator whose state rides along in checkpoints, so a
+resumed run continues bit-identically. Checkpoints use the QCKP
 container described in `save_checkpoint`; they and `history.csv` are
 written to a temporary file that then replaces the target.
 """
@@ -83,10 +84,6 @@ class Adam:
         self.v = [np.zeros_like(p.tensor.data) for p in self.params]
         self.step_count = 0
         self.skipped = 0
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
     def step(self) -> bool:
         grads = []
@@ -512,6 +509,15 @@ def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val
     return history
 
 
+def _update(model, opt: Adam, loss: Tensor, max_norm: float) -> None:
+    """One optimizer step of `model` on `loss`, its kept pairs released first so backward frees the graph."""
+    model.release_pairs()
+    model.zero_grad()
+    ag.backward(loss)
+    clip_global_norm(model.trainable_parameters(), max_norm)
+    opt.step()
+
+
 def train_gan(
     gen: mdl.Generator,
     disc: mdl.Discriminator,
@@ -545,22 +551,14 @@ def train_gan(
         l_d = loss_discriminator(d_real, d_fake)
         if cfg.com_in_discriminator and lam_com > 0 and disc_pairs:
             l_d = ag.add(l_d, ag.scale(loss_complementarity(disc_pairs), lam_com))
-        disc.zero_grad()
-        ag.backward(l_d)
-        clip_global_norm(disc.trainable_parameters(), cfg.grad_clip)
-        opt_d.step()
+        _update(disc, opt_d, l_d, cfg.grad_clip)
 
         d_score = disc(pred)
+        disc.release_pairs()  # the generator objective reads no discriminator pair
         l_com = loss_complementarity(gen_pairs)
         l_g = loss_generator(pred, target, d_score, cfg.weights)
         total = ag.add(l_g, ag.scale(l_com, lam_com)) if lam_com > 0 else l_g
-        gen.release_pairs()
-        disc.release_pairs()
-        gen.zero_grad()
-        disc.zero_grad()
-        ag.backward(total)
-        clip_global_norm(gen.trainable_parameters(), cfg.grad_clip)
-        opt_g.step()
+        _update(gen, opt_g, total, cfg.grad_clip)
         losses = {"loss_g": l_g.item(), "loss_d": l_d.item(), "loss_com": l_com.item()}
         return pred.data, losses, (losses["loss_d"], total.item())
 
@@ -590,11 +588,7 @@ def train_unet(
         l1 = ag.tmean(ag.absval(ag.sub(pred, target)))
         l_com = loss_complementarity(model.complementarity_pairs)
         total = ag.add(l1, ag.scale(l_com, lam_com)) if lam_com > 0 else l1
-        model.release_pairs()
-        model.zero_grad()
-        ag.backward(total)
-        clip_global_norm(model.trainable_parameters(), cfg.grad_clip)
-        opt.step()
+        _update(model, opt, total, cfg.grad_clip)
         return pred.data, {"loss_g": total.item(), "loss_com": l_com.item()}, (total.item(),)
 
     return _fit(train_set.task, {"model": model}, {"model": opt}, step,

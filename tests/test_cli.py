@@ -82,6 +82,13 @@ class TestGenData:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    @pytest.mark.parametrize("task", ["interpolation_random", "denoise"])
+    def test_non_finite_noise_sigma_rejected(self, tmp_path, task, sigma):
+        assert run_cli(["gen-data", "--task", task, "--out", str(tmp_path / "x"), "--n", "10",
+                        "--height", "32", "--width", "32", "--noise-sigma", sigma]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QCSEIS_SEED", "77")
         run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "a"),
@@ -148,6 +155,12 @@ class TestConfigSchema:
         ("qcgan", "model", "quantum", 1),
         ("qcgan", "train", "seed", True),
         ("qcgan", "train", "grad_clip", -1.0),
+        # values only the network constructors reject
+        ("qcgan", "model", "n_qubits", 0),
+        ("qcgan", "model", "circuit_depth", -1),
+        ("qcgan", "model", "blocks", 6),  # 32x32 patches cannot be pooled 5 times
+        ("qcgan", "model", "quantum_fraction", float("nan")),
+        ("qcgan", "model", "input_scale", float("inf")),
     ]
 
     @pytest.mark.parametrize("family, section, key, value", MALFORMED,

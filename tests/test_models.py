@@ -1,4 +1,6 @@
 """Model assembly tests: shape contracts, twins, gradient flow, pairs."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,10 +134,15 @@ class TestUNet:
 
 class TestComplementarityPairs:
     def test_one_pair_per_block(self):
-        gen = mdl.Generator(small_gen_cfg(blocks=2), init_seed=0)
-        gen(make_input((2, 1, 32, 32)))
-        pairs = gen.complementarity_pairs
-        assert len(pairs) == 2
+        # the network owns the pairs of its last forward: none stays on a block
+        for net in (mdl.Generator(small_gen_cfg(blocks=2), init_seed=0),
+                    mdl.Discriminator(small_disc_cfg(blocks=2), init_seed=0)):
+            net(make_input((2, 1, 32, 32)))
+            assert all(block.pair is None for block in net.blocks)
+            assert len(net.complementarity_pairs) == 2
+            net.release_pairs()
+            with pytest.raises(RuntimeError):
+                net.complementarity_pairs
 
     def test_pairs_before_forward_rejected(self):
         gen = mdl.Generator(small_gen_cfg(), init_seed=0)
@@ -151,6 +158,29 @@ class TestComplementarityPairs:
 
 
 class TestParameterBookkeeping:
+    # (entry count, sha256 over each entry's name, dtype and bytes), recorded before the GAN
+    # networks shared a trunk; construction runs no BLAS, so these hold on every machine
+    DEFAULT_BUILDS = [
+        (mdl.Generator, mdl.GeneratorConfig, 0,
+         115, "00102c9952a55338cd4c87d60c5e379e3cf1af0563ea09cbe79a8e6a9f343bf9"),
+        (mdl.Discriminator, mdl.DiscriminatorConfig, 1,
+         111, "f9dbc44f84aa974d08fd4ef9d11e375d78a1440baf4ff4f3981e0d6013c2a854"),
+        (mdl.UNet, mdl.UNetConfig, 0,
+         112, "80e79506e9fa066e19e662fc577d33735b38b88f3075e148ea23cf930453a455"),
+    ]
+
+    @pytest.mark.parametrize("model_cls, cfg_cls, init_seed, count, digest", DEFAULT_BUILDS,
+                             ids=["generator", "discriminator", "unet"])
+    def test_default_construction_pinned(self, model_cls, cfg_cls, init_seed, count, digest):
+        """Entry names and initial values: a reordered rng draw or a renamed checkpoint entry fails."""
+        entries = list(model_cls(cfg_cls(), init_seed=init_seed).named_parameters())
+        h = hashlib.sha256()
+        for name, p in entries:
+            h.update(name.encode())
+            h.update(str(p.data.dtype).encode())
+            h.update(p.data.tobytes())
+        assert (len(entries), h.hexdigest()) == (count, digest)
+
     def test_names_unique(self):
         gen = mdl.Generator(small_gen_cfg(), init_seed=0)
         names = [name for name, _ in gen.named_parameters()]
