@@ -10,14 +10,15 @@ through numpy's fixed pairwise order, so results are bit-identical across
 runs and worker counts. Convolution is im2col plus GEMM (Chellapilla, Puri
 & Simard 2006); its im2col/col2im copies run in cache-sized blocks, and
 col2im sums each input element's kernel taps in a fixed (i, j) order from
-zero whatever the blocking, so the blocking never changes a bit. Conv is
-also the one op that uses more than one core: it splits each batch into
-contiguous runs of items, one per CPU the process may use, and runs them
-on the worker threads (lanes) of a standard thread pool that starts with
-the first conv that splits. Each item's im2col, GEMM and col2im are the
-calls they would be on one lane, and the only sums across items (dw, db)
-are single calls in the calling thread, so the lane count never changes a
-bit either.
+zero whatever the blocking, so the blocking never changes a bit. Conv
+uses more than one core: it splits each batch into contiguous runs of
+items, one per CPU the process may use, and runs them on the worker
+threads (lanes) of a standard thread pool that starts with the first
+call that splits. Each item's im2col, GEMM and col2im are the calls they
+would be on one lane, and the only sums across items (dw, db) are single
+calls in the calling thread, so the lane count never changes a bit
+either. The quantum layer runs its fixed window chunks on the same lanes
+(see qlayer); no other op uses them.
 The graph is made of small nodes, one per recorded tensor, that hold no
 output data: only what each rule saves is kept, so an activation no rule
 reads is freed during the forward pass as soon as Python drops it. The
@@ -608,6 +609,10 @@ def sigmoid(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
+_BN_MOMENTUM = 0.1  # weight of each batch's statistics in the running buffers
+_BN_EPS = 1e-5  # added to the variance
+
+
 def batchnorm2d(
     x: Tensor,
     gamma: Tensor,
@@ -615,8 +620,6 @@ def batchnorm2d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel batch normalization on [B, C, H, W].
 
@@ -635,15 +638,15 @@ def batchnorm2d(
             raise DegenerateBatchError("batchnorm2d needs batch size >= 2 in training mode")
         mu = xd.mean(axis=(0, 2, 3))
         var = xd.var(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.astype(running_var.dtype)
+        running_mean *= 1.0 - _BN_MOMENTUM
+        running_mean += _BN_MOMENTUM * mu.astype(running_mean.dtype)
+        running_var *= 1.0 - _BN_MOMENTUM
+        running_var += _BN_MOMENTUM * var.astype(running_var.dtype)
     else:
         mu = running_mean.astype(xd.dtype)
         var = running_var.astype(xd.dtype)
 
-    inv = 1.0 / np.sqrt(var + xd.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + xd.dtype.type(_BN_EPS))
     xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
@@ -691,19 +694,15 @@ def split_channels(x: Tensor, at: int) -> tuple[Tensor, Tensor]:
         raise ShapeError(f"split point {at} must be inside (0, {c})")
     shape, dtype = x.shape, x.dtype
 
-    def bwd_first(g):
-        dx = np.zeros(shape, dtype)
-        dx[:, :at] = g
-        return (dx,)
+    def part(channels: slice) -> Tensor:
+        def bwd(g):
+            dx = np.zeros(shape, dtype)
+            dx[:, channels] = g
+            return (dx,)
 
-    def bwd_second(g):
-        dx = np.zeros(shape, dtype)
-        dx[:, at:] = g
-        return (dx,)
+        return _result(x.data[:, channels].copy(), (x,), bwd)
 
-    first = _result(x.data[:, :at].copy(), (x,), bwd_first)
-    second = _result(x.data[:, at:].copy(), (x,), bwd_second)
-    return first, second
+    return part(slice(None, at)), part(slice(at, None))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -37,15 +37,14 @@ def numeric_gradients(fn, arrays, h):
     return grads
 
 
-def check_op(build, shapes, dtype=np.float32, h=None, seed=0, prepare=None):
+def check_op(build, shapes, dtype=np.float32, seed=0, prepare=None):
     """Max normalized deviation |analytic - fd| / (|analytic| + 1e-6).
 
     `build(tensors)` returns the op output; gradients are checked for
     every input. `prepare(arrays)` may adjust the random inputs (e.g. to
     avoid kinks) before they are frozen as the base point.
     """
-    if h is None:
-        h = 1e-3 if dtype == np.float32 else 1e-5
+    h = 1e-3 if dtype == np.float32 else 1e-5  # finite-difference step
     rng = np.random.default_rng(seed)
     arrays = [rng.uniform(-1.0, 1.0, s).astype(dtype) for s in shapes]
     if prepare is not None:

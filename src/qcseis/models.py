@@ -10,13 +10,14 @@ complementarity loss.
 
 The three families share one design, declared once: `NetConfig` holds
 the settings and defaults they have in common (width, quantum split,
-circuits, patch size), and `_Network` owns the config, the kept pairs and
-the architecture dict that checkpoints record. The generator and the
-discriminator also share one trunk, `_DualPath`: the strided stem and
-the stack of dual-path blocks, run by one method that collects the
-blocks' pairs. Each family adds only its own fields, its other layers
-and its forward pass. `arch_signature` is the part of that dict a
-checkpoint is checked on: the fields the family reads.
+circuits, patch size), and `_Network` owns the config, the kept pairs,
+the architecture dict that checkpoints record and the [B, 1, T, S] input
+check. The generator and the discriminator also share one trunk,
+`_DualPath`: the strided stem and the stack of dual-path blocks, run by
+one method that collects the blocks' pairs. Each family adds only its
+own fields, its other layers and its forward pass. `arch_signature` is
+the part of that dict a checkpoint is checked on: the fields the family
+reads.
 """
 from __future__ import annotations
 
@@ -117,8 +118,9 @@ class ModuleList(Module):
         return self._items[i]
 
 
+_PRELU_INIT = 0.25  # every PReLU's starting slope
 # rectifier-gain fan-in bound (He-style uniform, slope matching the PReLU init)
-_PRELU_GAIN_SQ = 2.0 / (1.0 + 0.25 ** 2)
+_PRELU_GAIN_SQ = 2.0 / (1.0 + _PRELU_INIT ** 2)
 
 
 class Conv2d(Module):
@@ -135,14 +137,12 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, dtype=np.float32, momentum=0.1, eps=1e-5):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
         self.gamma = Parameter(np.ones(channels), dtype=dtype)
         self.beta = Parameter(np.zeros(channels), dtype=dtype)
         self.running_mean = Parameter(np.zeros(channels), trainable=False, dtype=dtype)
         self.running_var = Parameter(np.ones(channels), trainable=False, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         return ag.batchnorm2d(
@@ -152,15 +152,13 @@ class BatchNorm2d(Module):
             self.running_mean.tensor.data,
             self.running_var.tensor.data,
             training=self.training,
-            momentum=self.momentum,
-            eps=self.eps,
         )
 
 
 class PReLU(Module):
-    def __init__(self, channels, dtype=np.float32, init=0.25):
+    def __init__(self, channels, dtype=np.float32):
         super().__init__()
-        self.alpha = Parameter(np.full(channels, init), dtype=dtype)
+        self.alpha = Parameter(np.full(channels, _PRELU_INIT), dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return ag.prelu(x, self.alpha.tensor)
@@ -334,7 +332,7 @@ class UNetConfig(NetConfig):
 
 
 class _Network(Module):
-    """Shell every family shares: its config, the pairs its forward keeps, its arch dict."""
+    """Shell every family shares: its config, kept pairs, arch dict and [B, 1, T, S] input check."""
 
     family: str  # the name checkpoints record
     config_type: type
@@ -345,6 +343,11 @@ class _Network(Module):
         super().__init__()
         self.cfg = cfg
         self._pairs = None
+
+    def __call__(self, x: Tensor) -> Tensor:
+        if x.ndim != 4 or x.shape[1] != 1:
+            raise ag.ShapeError(f"{self.family} expects [B, 1, T, S], got {x.shape}")
+        return self.forward(x)
 
     def release_pairs(self):
         """Forget the complementarity pairs of the last forward, and the graph they reach."""
@@ -414,8 +417,6 @@ class Generator(_DualPath):
         self.out_conv = Conv2d(1, 1, 3, rng, padding=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != 1:
-            raise ag.ShapeError(f"generator expects [B, 1, T, S], got {x.shape}")
         _, _, t, s = x.shape
         if t % 2 or s % 2:
             raise ag.ShapeError(f"generator needs even patch dims, got {t}x{s}")
@@ -453,8 +454,6 @@ class Discriminator(_DualPath):
         self.head = Linear(self.feature_dim, 1, rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != 1:
-            raise ag.ShapeError(f"discriminator expects [B, 1, T, S], got {x.shape}")
         if x.shape[2] != self.cfg.patch_height or x.shape[3] != self.cfg.patch_width:
             raise ag.ShapeError(
                 f"discriminator configured for {self.cfg.patch_height}x{self.cfg.patch_width} "
@@ -513,8 +512,6 @@ class UNet(_Network):
         self.out_conv = Conv2d(c0, 1, 3, rng, padding=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != 1:
-            raise ag.ShapeError(f"unet expects [B, 1, T, S], got {x.shape}")
         _, _, t, s = x.shape
         if t % 8 or s % 8:
             raise ag.ShapeError(f"unet needs patch dims divisible by 8, got {t}x{s}")

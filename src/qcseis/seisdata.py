@@ -146,6 +146,8 @@ def _convolve_time(spikes: np.ndarray, wavelet: np.ndarray) -> np.ndarray:
 # samples farther than t_samples from the centre never reach the window, so
 # a longer wavelet only pads the convolution: a tiny f0 asks for petabytes.
 _MAX_HALF_WIDTH = 64
+_AMP_RANGE = (0.3, 1.0)  # each event's spike amplitude, before peak normalization
+_TAPER_HZ = 1.0  # width of the raised-cosine edge bandpass_split puts at each band cutoff
 
 
 def _check_positive(name: str, value) -> None:
@@ -162,7 +164,6 @@ def synth_gather(
     velocity_range: tuple = (1500.0, 4000.0),
     seed=0,
     f0_range: tuple = (15.0, 45.0),
-    amp_range: tuple = (0.3, 1.0),
 ) -> SeismicPatch:
     """Sum of hyperbolic reflections t(x) = sqrt(t0^2 + (x/v)^2), peak-normalized.
 
@@ -192,7 +193,7 @@ def synth_gather(
         for attempt in range(100):
             t0 = rng.uniform(0.1 * duration, 0.85 * duration)
             v = rng.uniform(*velocity_range)
-            amp = rng.uniform(*amp_range)
+            amp = rng.uniform(*_AMP_RANGE)
             f0 = rng.uniform(*f0_range)
             with np.errstate(over="ignore"):  # a time far past the window may overflow to inf
                 times = np.sqrt(t0 ** 2 + (offsets / v) ** 2)
@@ -255,28 +256,28 @@ def degrade_noise(patch, sigma: float, seed=0):
     return wrap(data + rng.normal(0.0, sigma, size=data.shape))
 
 
-def _falling_edge(freqs: np.ndarray, fc: float, width: float) -> np.ndarray:
-    """Raised-cosine gain: 1 below fc - width/2, 0 above fc + width/2."""
-    lo, hi = fc - 0.5 * width, fc + 0.5 * width
+def _falling_edge(freqs: np.ndarray, fc: float) -> np.ndarray:
+    """Raised-cosine gain: 1 below fc - _TAPER_HZ/2, 0 above fc + _TAPER_HZ/2."""
+    lo, hi = fc - 0.5 * _TAPER_HZ, fc + 0.5 * _TAPER_HZ
     gain = np.ones_like(freqs)
     ramp = (freqs > lo) & (freqs < hi)
-    gain[ramp] = 0.5 * (1.0 + np.cos(np.pi * (freqs[ramp] - lo) / width))
+    gain[ramp] = 0.5 * (1.0 + np.cos(np.pi * (freqs[ramp] - lo) / _TAPER_HZ))
     gain[freqs >= hi] = 0.0
     return gain
 
 
-def _band_gain(freqs: np.ndarray, band: tuple, taper: float) -> np.ndarray:
+def _band_gain(freqs: np.ndarray, band: tuple) -> np.ndarray:
     lo, hi = band
-    gain = _falling_edge(freqs, hi, taper)
+    gain = _falling_edge(freqs, hi)
     if lo > 0.0:
-        gain *= 1.0 - _falling_edge(freqs, lo, taper)
+        gain *= 1.0 - _falling_edge(freqs, lo)
     return gain
 
 
-def bandpass_split(patch: SeismicPatch, input_band=(5.0, 10.0), label_band=(0.0, 5.0), taper: float = 1.0):
+def bandpass_split(patch: SeismicPatch, input_band=(5.0, 10.0), label_band=(0.0, 5.0)):
     """Zero-phase per-trace split into a band-limited input and its low label.
 
-    Each pass band gets a raised-cosine taper of `taper` Hz centered on its
+    Each pass band gets a raised-cosine taper of 1 Hz centered on its
     cutoffs, so the two filters crossfade at a shared edge.
     """
     nyquist = 0.5 / patch.dt
@@ -285,8 +286,8 @@ def bandpass_split(patch: SeismicPatch, input_band=(5.0, 10.0), label_band=(0.0,
             raise ValueError(f"band {band} exceeds the Nyquist frequency {nyquist:.2f} Hz")
     freqs = np.fft.rfftfreq(patch.n_samples, d=patch.dt)
     spectrum = np.fft.rfft(patch.data, axis=0)
-    gain_in = _band_gain(freqs, input_band, taper)
-    gain_lab = _band_gain(freqs, label_band, taper)
+    gain_in = _band_gain(freqs, input_band)
+    gain_lab = _band_gain(freqs, label_band)
     data_in = np.fft.irfft(spectrum * gain_in[:, None], n=patch.n_samples, axis=0)
     data_lab = np.fft.irfft(spectrum * gain_lab[:, None], n=patch.n_samples, axis=0)
     return (
@@ -437,9 +438,6 @@ def build_dataset(
     if n_patches < 10:
         raise ValueError("need at least 10 patches for an 8:1:1 split")
     t_dim, s_dim = dims
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     targets = np.empty((n_patches, t_dim, s_dim), dtype=np.float32)
     degradeds = np.empty((n_patches, t_dim, s_dim), dtype=np.float32)
     masks = np.empty((n_patches, s_dim), dtype=np.uint8)
@@ -464,9 +462,13 @@ def build_dataset(
         "val": slice(n_train, n_train + n_val),
         "test": slice(n_train + n_val, n_patches),
     }
+    subsets = {name: SeismicDataset(targets[sel], degradeds[sel], masks[sel], dt, dx, spec.task)
+               for name, sel in splits.items()}
+    # made only now, so a generation value that raises leaves no directory behind
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for name, sel in splits.items():
-        subset = SeismicDataset(targets[sel], degradeds[sel], masks[sel], dt, dx, spec.task)
+    for name, subset in subsets.items():
         path = out_dir / f"{name}.seis"
         save_seis(path, subset)
         paths[name] = str(path)

@@ -1,14 +1,16 @@
 """Built-in verification suite behind the `selftest` command.
 
-Each check is named and independent: simulator norm/unitarity/analytic
-identities, parameter-shift gradients against finite differences, the
-full autograd gradient-check registry, scalar-loop equivalence of the
-quantum layer, metric hand values, and the PSNR convention comparison.
+Each check is named once, in `_checks`, and independent: simulator
+norm/unitarity/analytic identities, parameter-shift gradients against
+finite differences, the full autograd gradient-check registry,
+scalar-loop equivalence of the quantum layer, metric hand values, and the
+PSNR convention comparison. A check returns (passed, detail).
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,44 +42,44 @@ def _random_gate(rng: np.random.Generator, n_qubits: int):
     return lambda s: qsim.apply_cnot(s, control + 1, control)
 
 
-def check_qsim_norm(n_trials: int = 1000) -> CheckResult:
+def check_qsim_norm():
     rng = np.random.default_rng(2024)
     worst = 0.0
-    for _ in range(n_trials):
+    for _ in range(1000):
         state = _random_state(rng, 4)
         out = _random_gate(rng, 4)(state)
         worst = max(worst, abs(out.norm() - 1.0))
-    return CheckResult("qsim_norm_preservation", worst < 1e-12, f"max |norm - 1| = {worst:.3e}")
+    return worst < 1e-12, f"max |norm - 1| = {worst:.3e}"
 
 
-def check_qsim_unitarity(n_trials: int = 300) -> CheckResult:
+def check_qsim_unitarity():
     rng = np.random.default_rng(77)
     worst = 0.0
-    for _ in range(n_trials):
+    for _ in range(300):
         u = _random_state(rng, 4)
         v = _random_state(rng, 4)
         gate = _random_gate(rng, 4)
         before = np.vdot(u.amplitudes, v.amplitudes)
         after = np.vdot(gate(u).amplitudes, gate(v).amplitudes)
         worst = max(worst, abs(after - before))
-    return CheckResult("qsim_unitarity", worst < 1e-10, f"max inner-product drift = {worst:.3e}")
+    return worst < 1e-10, f"max inner-product drift = {worst:.3e}"
 
 
-def check_qsim_analytic_expectation(n_angles: int = 100) -> CheckResult:
+def check_qsim_analytic_expectation():
     obs = Observable(0)
     worst = 0.0
-    for theta in np.linspace(-2 * np.pi, 2 * np.pi, n_angles):
+    for theta in np.linspace(-2 * np.pi, 2 * np.pi, 100):
         value = qsim.expect(qsim.encode([theta, 0.0, 0.0, 0.0]), obs)
         worst = max(worst, abs(value - np.cos(theta)))
-    return CheckResult("qsim_analytic_expectation", worst < 1e-12, f"max |<Z> - cos| = {worst:.3e}")
+    return worst < 1e-12, f"max |<Z> - cos| = {worst:.3e}"
 
 
-def check_parameter_shift(n_trials: int = 100) -> CheckResult:
+def check_parameter_shift():
     rng = np.random.default_rng(5150)
     obs = Observable(0)
     h = 1e-4
     worst = 0.0
-    for trial in range(n_trials):
+    for trial in range(100):
         circuit = RandomCircuit.generate(seed=int(rng.integers(1 << 30)), index=trial % 4,
                                          depth=2, n_qubits=4)
         x = rng.uniform(-np.pi, np.pi, 4)
@@ -89,16 +91,15 @@ def check_parameter_shift(n_trials: int = 100) -> CheckResult:
             fd = (qsim.expect(qsim.run_circuit(qsim.encode(plus), circuit), obs)
                   - qsim.expect(qsim.run_circuit(qsim.encode(minus), circuit), obs)) / (2 * h)
             worst = max(worst, abs(analytic[j] - fd))
-    return CheckResult("parameter_shift_vs_finite_difference", worst < 1e-6,
-                       f"max |shift - fd| = {worst:.3e}")
+    return worst < 1e-6, f"max |shift - fd| = {worst:.3e}"
 
 
-def _grad_check(name: str, run, tol: float = 1e-3) -> CheckResult:
+def _grad_check(run):
     worst = run()
-    return CheckResult(f"grad_{name}", worst < tol, f"worst rel err = {worst:.3e}")
+    return worst < 1e-3, f"worst rel err = {worst:.3e}"
 
 
-def check_qlayer_oracle() -> CheckResult:
+def check_qlayer_oracle():
     cfg = qlayer.QuantumLayerConfig(seed=9)
     circuits = cfg.make_circuits()
     obs = Observable(0)
@@ -116,11 +117,10 @@ def check_qlayer_oracle() -> CheckResult:
         fmap = ref.reshape(len(circuits), b, c, t, -1).mean(axis=2)
         fmap = np.repeat(fmap, cfg.stride, axis=-1)[..., :s].transpose(1, 0, 2, 3)
         worst = max(worst, float(np.abs(fast - fmap).max()))
-    return CheckResult("qlayer_oracle_equivalence", worst < 1e-6,
-                       f"max |vectorized - scalar loop| = {worst:.3e}")
+    return worst < 1e-6, f"max |vectorized - scalar loop| = {worst:.3e}"
 
 
-def check_metric_hand_values() -> CheckResult:
+def check_metric_hand_values():
     from . import autograd as ag
     from .objectives import LossWeights, loss_complementarity, loss_discriminator, loss_generator
 
@@ -156,10 +156,10 @@ def check_metric_hand_values() -> CheckResult:
     expect_close("ssim identity", objectives.ssim(wave, wave), 1.0, tol=1e-12)
 
     detail = "; ".join(failures) if failures else "all hand values within 1e-4"
-    return CheckResult("metric_hand_values", not failures, detail)
+    return not failures, detail
 
 
-def check_psnr_convention() -> CheckResult:
+def check_psnr_convention():
     reported_rmse, reported_psnr = 0.0101, 42.0782
     max_amp = 10.0 ** (reported_psnr / 20.0) * reported_rmse
     max_lit = 10.0 ** (reported_psnr / 10.0) * reported_rmse
@@ -168,32 +168,32 @@ def check_psnr_convention() -> CheckResult:
         f"20*log10 reading -> MAX = {max_amp:.4f} (plausible amplitude); "
         f"literal 10*log10 reading -> MAX = {max_lit:.2f} (impossible for MAX <= 10)"
     )
-    return CheckResult("psnr_convention", ok, detail)
+    return ok, detail
 
 
-def _guarded(name: str, fn) -> CheckResult:
-    """A check that raises is reported as a named failure, not a crash."""
-    try:
-        return fn()
-    except Exception as exc:  # noqa: BLE001 - the whole point is to report it
-        return CheckResult(name, False, f"raised {exc!r}")
+def _checks():
+    """(name, check) for every check, in run order."""
+    yield "qsim_norm_preservation", check_qsim_norm
+    yield "qsim_unitarity", check_qsim_unitarity
+    yield "qsim_analytic_expectation", check_qsim_analytic_expectation
+    yield "parameter_shift_vs_finite_difference", check_parameter_shift
+    for name, run in gradcheck.op_check_cases():
+        yield f"grad_{name}", partial(_grad_check, run)
+    yield "qlayer_oracle_equivalence", check_qlayer_oracle
+    yield "metric_hand_values", check_metric_hand_values
+    yield "psnr_convention", check_psnr_convention
 
 
-def run_selftest(include_grad_checks: bool = True) -> list[CheckResult]:
+def run_selftest() -> list[CheckResult]:
+    """Every check's result, then the run time; a check that raises is a named failure, not a crash."""
     started = time.perf_counter()
-    results = [
-        _guarded("qsim_norm_preservation", check_qsim_norm),
-        _guarded("qsim_unitarity", check_qsim_unitarity),
-        _guarded("qsim_analytic_expectation", check_qsim_analytic_expectation),
-        _guarded("parameter_shift_vs_finite_difference", check_parameter_shift),
-    ]
-    if include_grad_checks:
-        for name, run in gradcheck.op_check_cases():
-            results.append(_guarded(f"grad_{name}",
-                                    lambda _n=name, _r=run: _grad_check(_n, _r)))
-    results.append(_guarded("qlayer_oracle_equivalence", check_qlayer_oracle))
-    results.append(_guarded("metric_hand_values", check_metric_hand_values))
-    results.append(_guarded("psnr_convention", check_psnr_convention))
+    results = []
+    for name, check in _checks():
+        try:
+            passed, detail = check()
+        except Exception as exc:  # noqa: BLE001 - the whole point is to report it
+            passed, detail = False, f"raised {exc!r}"
+        results.append(CheckResult(name, passed, detail))
     elapsed = time.perf_counter() - started
     results.append(CheckResult("selftest_runtime", True, f"{elapsed:.1f} s"))
     return results

@@ -57,6 +57,8 @@ HISTORY_COLUMNS = ("epoch", "split", "mae", "rmse", "loss_g", "loss_d", "loss_co
 _QCKP_MAGIC = b"QCKP"
 _QCKP_VERSION = 1
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_DIVERGENCE_LIMIT = 3  # consecutive steps with a non-finite loss that stop training
 
 
 class TrainingDivergedError(RuntimeError):
@@ -74,12 +76,9 @@ class Adam:
     `skipped`), leaving parameters and moments untouched.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = [p for p in params if p.trainable]
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.tensor.data) for p in self.params]
         self.v = [np.zeros_like(p.tensor.data) for p in self.params]
         self.step_count = 0
@@ -97,16 +96,16 @@ class Adam:
             grads.append(g)
         self.step_count += 1
         t = self.step_count
-        correction1 = 1.0 - self.beta1 ** t
-        correction2 = 1.0 - self.beta2 ** t
+        correction1 = 1.0 - _ADAM_BETA1 ** t
+        correction2 = 1.0 - _ADAM_BETA2 ** t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
             m_hat = m / correction1
             v_hat = v / correction2
-            p.tensor.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.tensor.data.dtype)
+            p.tensor.data -= (self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)).astype(p.tensor.data.dtype)
         return True
 
 
@@ -420,8 +419,7 @@ def _validate(model, data: SeismicDataset, batch_size: int):
 
 
 class _DivergenceGuard:
-    def __init__(self, limit: int = 3):
-        self.limit = limit
+    def __init__(self):
         self.streak = 0
 
     def observe(self, *values: float) -> None:
@@ -429,7 +427,7 @@ class _DivergenceGuard:
             self.streak = 0
             return
         self.streak += 1
-        if self.streak >= self.limit:
+        if self.streak >= _DIVERGENCE_LIMIT:
             raise TrainingDivergedError(
                 f"training diverged: loss was non-finite for {self.streak} consecutive steps"
             )

@@ -716,12 +716,16 @@ class TestNoTraceback:
         ["--dt", "nan"],
         ["--f0-lo", "0", "--f0-hi", "0"],
         ["--f0-lo", "1e-12", "--f0-hi", "1e-12"],
+        ["--n-events", "0"],
+        ["--task", "lfe", "--dt", "0.5"],  # the 5-10 Hz input band is above Nyquist
+        ["--noise-sigma", "1e39"],  # overflows float32: the splits hold non-finite samples
     ], ids=lambda flags: " ".join(flags))
     def test_gen_data_bad_physics(self, tmp_path, flags):
+        # a later --task overrides this one
         proc = run_module(["gen-data", "--task", "denoise", "--out", str(tmp_path / "d"),
                            "--n", "10", "--height", "8", "--width", "8", *flags])
         assert_exit(proc, cli.EXIT_CONFIG)
-        assert not list(tmp_path.rglob("*.seis"))
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("flags", [["--dx", "1e300"], ["--v-lo", "1e-300", "--v-hi", "1e-300"]],
                              ids=lambda flags: " ".join(flags))
@@ -735,12 +739,30 @@ class TestNoTraceback:
 
 
 class TestSelftestCommand:
+    CHECKS = [
+        "qsim_norm_preservation", "qsim_unitarity", "qsim_analytic_expectation",
+        "parameter_shift_vs_finite_difference",
+        "grad_conv2d", "grad_linear", "grad_prelu", "grad_batchnorm2d_train", "grad_batchnorm2d_eval",
+        "grad_pixel_shuffle", "grad_split_concat", "grad_flatten", "grad_sigmoid", "grad_add",
+        "grad_sub", "grad_mul", "grad_div", "grad_neg", "grad_scale", "grad_add_scalar",
+        "grad_absval", "grad_log", "grad_sqrt", "grad_clamp", "grad_sum", "grad_mean",
+        "grad_sum_axis", "grad_mean_axis", "grad_maxpool2d", "grad_avgpool2d",
+        "grad_nearest_upsample",
+        "qlayer_oracle_equivalence", "metric_hand_values", "psnr_convention", "selftest_runtime",
+    ]
+
     def test_fresh_build_passes(self, capsys):
         assert run_cli(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] qsim_norm_preservation" in out
         # both readings of the quality-ratio convention are reported side by side
         assert "20*log10" in out and "10*log10" in out
+
+    def test_result_names_pinned(self):
+        # every check, once each, in the order the command prints them
+        names = [r.name for r in run_selftest()]
+        assert names == self.CHECKS
+        assert len(set(names)) == len(names) == 35
 
     def test_injected_fault_detected(self, monkeypatch):
         # perturb one entry of the y-rotation matrix: the norm/unitarity
@@ -750,7 +772,7 @@ class TestSelftestCommand:
             return float(np.cos(half)) + 1e-6, float(np.sin(half))
 
         monkeypatch.setattr(qsim, "_ry_entries", crooked)
-        results = {r.name: r for r in run_selftest(include_grad_checks=False)}
+        results = {r.name: r for r in run_selftest()}
         assert not results["qsim_norm_preservation"].passed
 
     def test_selftest_api_reports_failure(self, monkeypatch):
@@ -759,7 +781,7 @@ class TestSelftestCommand:
             return float(np.cos(half)), float(np.sin(half)) * (1 + 2e-7)
 
         monkeypatch.setattr(qsim, "_ry_entries", crooked)
-        results = run_selftest(include_grad_checks=False)
+        results = run_selftest()
         failed = [r.name for r in results if not r.passed]
         assert failed and all(name.startswith(("qsim", "parameter_shift", "qlayer"))
                               for name in failed)

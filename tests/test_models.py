@@ -132,6 +132,19 @@ class TestUNet:
             unet(make_input((1, 1, 36, 36)))
 
 
+class TestInputCheck:
+    @pytest.mark.parametrize("family, cls, cfg", [
+        ("generator", mdl.Generator, small_gen_cfg),
+        ("discriminator", mdl.Discriminator, small_disc_cfg),
+        ("unet", mdl.UNet, small_unet_cfg),
+    ], ids=["generator", "discriminator", "unet"])
+    @pytest.mark.parametrize("shape", [(2, 2, 32, 32), (2, 32, 32)], ids=["two_channels", "three_dims"])
+    def test_rejects_input_not_b1ts(self, family, cls, cfg, shape):
+        net = cls(cfg(), init_seed=0)
+        with pytest.raises(ag.ShapeError, match=rf"^{family} expects \[B, 1, T, S\]"):
+            net(make_input(shape))
+
+
 class TestComplementarityPairs:
     def test_one_pair_per_block(self):
         # the network owns the pairs of its last forward: none stays on a block
