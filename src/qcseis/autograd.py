@@ -207,30 +207,27 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, grad={'set' if self.grad is not None else 'none'})"
 
 
-class Parameter:
-    """Named, optionally trainable tensor owned by a model."""
+class Parameter(Tensor):
+    """Named tensor owned by a model; trainable when it requires grad, else a buffer."""
 
-    __slots__ = ("tensor", "name", "trainable")
+    __slots__ = ("name",)
 
     def __init__(self, data, name: str = "", trainable: bool = True, dtype=np.float32):
-        self.tensor = Tensor(np.asarray(data), requires_grad=trainable, dtype=dtype)
+        super().__init__(data, requires_grad=trainable, dtype=dtype)
         self.name = name
-        self.trainable = bool(trainable)
 
     @property
-    def data(self):
-        return self.tensor.data
+    def trainable(self) -> bool:
+        return self.requires_grad
 
     @property
-    def grad(self):
-        return self.tensor.grad
-
-    def zero_grad(self) -> None:
-        self.tensor.zero_grad()
+    def tensor(self) -> "Parameter":
+        """The parameter itself; the acceptance tests read `p.tensor.data`."""
+        return self
 
     def __repr__(self):
         kind = "param" if self.trainable else "buffer"
-        return f"Parameter({self.name!r}, {kind}, shape={tuple(self.tensor.shape)})"
+        return f"Parameter({self.name!r}, {kind}, shape={tuple(self.shape)})"
 
 
 def tensor(data, requires_grad: bool = False, dtype=np.float32) -> Tensor:

@@ -127,16 +127,16 @@ def resolve_config(doc: dict) -> dict:
     return resolved
 
 
-def _models(model_cfg: dict, patch: tuple) -> tuple:
-    """The networks a model section describes: (generator, discriminator) or (unet,)."""
+def _models(model_cfg: dict, patch: tuple) -> dict:
+    """The networks of a model section by checkpoint role: generator and discriminator, or model."""
     common = {key: model_cfg[key] for key in _NET_KEYS}
     common.update(patch_height=patch[0], patch_width=patch[1])
     init_seed = model_cfg["init_seed"]
     if model_cfg["family"] == "qcgan":
         common["blocks"] = model_cfg["blocks"]
-        return (mdl.Generator(mdl.GeneratorConfig(**common), init_seed=init_seed),
-                mdl.Discriminator(mdl.DiscriminatorConfig(**common), init_seed=init_seed + 1))
-    return (mdl.UNet(mdl.UNetConfig(**common), init_seed=init_seed),)
+        return {"generator": mdl.Generator(mdl.GeneratorConfig(**common), init_seed=init_seed),
+                "discriminator": mdl.Discriminator(mdl.DiscriminatorConfig(**common), init_seed=init_seed + 1)}
+    return {"model": mdl.UNet(mdl.UNetConfig(**common), init_seed=init_seed)}
 
 
 def _train_config(train_cfg: dict) -> trainer.TrainConfig:
@@ -191,6 +191,7 @@ def cmd_train(args) -> int:
     data_dir = Path(cfg["data"]["dir"])
     train_set = _load_split(data_dir, "train")
     val_set = _load_split(data_dir, "val")
+    trainer.check_train_split(train_set)
     if cfg["data"]["task"] and cfg["data"]["task"] != train_set.task:
         raise ConfigError(f"config expects task {cfg['data']['task']!r} but dataset is {train_set.task!r}")
 
@@ -200,17 +201,19 @@ def cmd_train(args) -> int:
         raise ConfigError(f"task {train_set.task!r} needs model family {expected_family!r}, "
                           f"config says {family!r}")
 
-    # the networks are built and the resume checkpoint loaded before out_dir
-    # is made, so a bad model section or checkpoint file leaves nothing behind
+    # the networks are built and the resume checkpoint loaded and matched to their
+    # arch before out_dir is made, so a bad model section or checkpoint leaves nothing behind
     nets = _models(cfg["model"], train_set.patch_shape)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
+    if resume is not None:
+        resume.require_arch({role: net.arch_config() for role, net in nets.items()})
     out_dir = Path(cfg["train"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
 
     train = trainer.train_gan if family == "qcgan" else trainer.train_unet
-    history = train(*nets, train_set, val_set, tc, out_dir, resume=resume)
+    history = train(*nets.values(), train_set, val_set, tc, out_dir, resume=resume)
 
     val_rows = [row for row in history if row[1] == "val"]
     summary = {

@@ -133,7 +133,7 @@ class Conv2d(Module):
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        return ag.conv2d(x, self.weight.tensor, self.bias.tensor, self.stride, self.padding)
+        return ag.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class BatchNorm2d(Module):
@@ -145,14 +145,8 @@ class BatchNorm2d(Module):
         self.running_var = Parameter(np.ones(channels), trainable=False, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ag.batchnorm2d(
-            x,
-            self.gamma.tensor,
-            self.beta.tensor,
-            self.running_mean.tensor.data,
-            self.running_var.tensor.data,
-            training=self.training,
-        )
+        return ag.batchnorm2d(x, self.gamma, self.beta, self.running_mean.data, self.running_var.data,
+                              training=self.training)
 
 
 class PReLU(Module):
@@ -161,7 +155,7 @@ class PReLU(Module):
         self.alpha = Parameter(np.full(channels, _PRELU_INIT), dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ag.prelu(x, self.alpha.tensor)
+        return ag.prelu(x, self.alpha)
 
 
 class Linear(Module):
@@ -172,7 +166,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(fout), dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ag.linear(x, self.weight.tensor, self.bias.tensor)
+        return ag.linear(x, self.weight, self.bias)
 
 
 class QuantumConv(Module):
@@ -536,7 +530,7 @@ class UNet(_Network):
 
 
 def count_trainable_parameters(model: Module) -> int:
-    return sum(p.tensor.size for p in model.trainable_parameters())
+    return sum(p.size for p in model.trainable_parameters())
 
 
 _FAMILIES = {cls.family: cls for cls in (Generator, Discriminator, UNet)}

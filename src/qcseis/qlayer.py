@@ -88,18 +88,13 @@ class QuantumLayerConfig:
                 for i in range(self.n_circuits)]
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, ag.Tensor) else np.asarray(x)
-
-
-def unfold(x, cfg: QuantumLayerConfig) -> np.ndarray:
+def unfold(arr: np.ndarray, cfg: QuantumLayerConfig) -> np.ndarray:
     """Window the trace axis of [B, C, T, S] into rows of n_qubits samples.
 
     Rows are ordered lexicographically in (b, c, t, window); when S is not
     a multiple of n_qubits the trace axis is replicate-padded on the
     right to the next multiple.
     """
-    arr = _as_array(x)
     if arr.ndim != 4:
         raise ag.ShapeError(f"unfold expects a 4-d input, got shape {arr.shape}")
     b, c, t, s = arr.shape
@@ -201,8 +196,9 @@ def _on_window_chunks(m: int, window_bytes: int, fn) -> None:
     ag._on_lanes(run, ag._runs(chunks))
 
 
-def quantum_forward(x, circuits, cfg: QuantumLayerConfig, workers: int | None = None) -> np.ndarray:
-    """Quantum feature map of [B, C, T, S]: one channel per circuit.
+def quantum_forward(x: np.ndarray, circuits, cfg: QuantumLayerConfig,
+                    workers: int | None = None) -> np.ndarray:
+    """Quantum feature map of a [B, C, T, S] array: one channel per circuit.
 
     Expectations are averaged over input channels, then repeated along the
     trace axis (and cropped) so the output [B, K, T, S] is spatially
@@ -211,7 +207,7 @@ def quantum_forward(x, circuits, cfg: QuantumLayerConfig, workers: int | None = 
     projected and contracted on its own, and the lane count changes no bit
     of the result. `workers` is accepted for callers and selects nothing.
     """
-    arr = _as_array(x).astype(np.float64, copy=False)
+    arr = x.astype(np.float64, copy=False)
     _check_circuits(circuits, cfg)
     b, c, t, s = arr.shape
     rows = unfold(arr, cfg) * cfg.input_scale
@@ -279,7 +275,7 @@ def quantum_input_grad(upstream: np.ndarray, x_shape: tuple, rows: np.ndarray, c
 def quantum_conv(x: ag.Tensor, circuits, cfg: QuantumLayerConfig) -> ag.Tensor:
     """Autograd-integrated quantum feature layer on a [B, C, T, S] tensor."""
     data = x.data
-    out = quantum_forward(data.astype(np.float64, copy=False), circuits, cfg).astype(data.dtype)
+    out = quantum_forward(data, circuits, cfg).astype(data.dtype)
     shape, dtype = x.shape, x.dtype
 
     def bwd(g):

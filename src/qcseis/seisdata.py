@@ -36,6 +36,7 @@ __all__ = [
     "load_seis",
 ]
 
+# a SEIS file tags its task by its position here, so this order is part of the format
 TASKS = ("interpolation_random", "interpolation_regular", "denoise", "lfe")
 
 _SEIS_MAGIC = b"SEIS"
@@ -300,10 +301,6 @@ def bandpass_split(patch: SeismicPatch, input_band=(5.0, 10.0), label_band=(0.0,
 # dataset container and SEIS persistence
 
 
-_TASK_TAGS = {name: i for i, name in enumerate(TASKS)}
-_TAG_TASKS = {i: name for name, i in _TASK_TAGS.items()}
-
-
 @dataclass
 class SeismicDataset:
     """Aligned stacks of (degraded, target) patches plus task metadata.
@@ -368,7 +365,7 @@ def save_seis(path, dataset: SeismicDataset) -> None:
     """
     n, t, s = dataset.targets.shape
     header = _HEADER.pack(
-        _SEIS_MAGIC, _SEIS_VERSION, n, t, s, dataset.dt, dataset.dx, _TASK_TAGS[dataset.task]
+        _SEIS_MAGIC, _SEIS_VERSION, n, t, s, dataset.dt, dataset.dx, TASKS.index(dataset.task)
     )
     records = np.empty(n, dtype=_patch_record(t, s))
     records["target"] = dataset.targets
@@ -388,7 +385,7 @@ def load_seis(path) -> SeismicDataset:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != _SEIS_VERSION:
         raise ValueError(f"{path}: unsupported SEIS version {version}")
-    if tag not in _TAG_TASKS:
+    if tag >= len(TASKS):
         raise ValueError(f"{path}: unknown task tag {tag}")
     # sizes checked as Python integers: a huge header must not reach the dtype constructor
     expected = _HEADER.size + n * (2 * t * s * 4 + s)
@@ -396,7 +393,7 @@ def load_seis(path) -> SeismicDataset:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)} (truncated or padded)")
     records = np.frombuffer(raw, dtype=_patch_record(t, s), count=n, offset=_HEADER.size)
     try:
-        return SeismicDataset(records["target"], records["degraded"], records["mask"], dt, dx, _TAG_TASKS[tag])
+        return SeismicDataset(records["target"], records["degraded"], records["mask"], dt, dx, TASKS[tag])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -413,6 +410,8 @@ def _degrade(patch: SeismicPatch, spec: DegradationSpec, patch_index: int):
         return degraded.data, patch.data, mask
     if spec.task == "denoise":
         degraded = degrade_noise(patch, spec.noise_sigma, seed=[spec.seed, 41, patch_index])
+        if np.abs(degraded.data).max() > np.finfo(np.float32).max:
+            raise ValueError(f"noise sigma {spec.noise_sigma} overflows the float32 samples of a patch")
         return degraded.data, patch.data, np.ones(patch.n_traces, dtype=np.uint8)
     # lfe: input is the band-limited observation, label the low band
     band_in, band_lab = bandpass_split(patch, spec.input_band, spec.label_band)

@@ -44,6 +44,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_model_state",
+    "check_train_split",
     "predict",
     "train_gan",
     "train_unet",
@@ -79,15 +80,15 @@ class Adam:
     def __init__(self, params, lr: float):
         self.params = [p for p in params if p.trainable]
         self.lr = float(lr)
-        self.m = [np.zeros_like(p.tensor.data) for p in self.params]
-        self.v = [np.zeros_like(p.tensor.data) for p in self.params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
         self.step_count = 0
         self.skipped = 0
 
     def step(self) -> bool:
         grads = []
         for p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.tensor.data)
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 self.skipped += 1
                 log.warning("skipping optimizer step %d: non-finite gradient in %s",
@@ -105,7 +106,7 @@ class Adam:
             v += (1.0 - _ADAM_BETA2) * g * g
             m_hat = m / correction1
             v_hat = v / correction2
-            p.tensor.data -= (self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)).astype(p.tensor.data.dtype)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)).astype(p.dtype)
         return True
 
 
@@ -142,12 +143,12 @@ class TrainConfig:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
         if self.lr is not None and not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError("learning rate must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 1:
             raise ValueError("need checkpoint_every >= 1")
         if not (np.isfinite(self.grad_clip) and self.grad_clip >= 0):
             raise ValueError("grad_clip must be finite and >= 0")
-        if isinstance(self.weights, dict):
-            self.weights = LossWeights(**self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def _arch_differences(stored: dict, requested: dict) -> list:
 
 def _iter_state_entries(role: str, model: mdl.Module):
     for name, p in model.named_parameters():
-        yield f"{role}.{name}", np.asarray(p.tensor.data)
+        yield f"{role}.{name}", p.data
 
 
 def _optimizer_entries(role: str, opt: Adam):
@@ -246,11 +247,8 @@ def save_checkpoint(path, task: str, model_map: dict, optimizer_map: dict,
         fh.write(blob)
         fh.write(struct.pack("<I", len(entries)))
         for name, arr in entries:
-            arr = np.asarray(arr)
-            if arr.dtype == np.float32:
-                tag, raw = 0, arr.astype("<f4")
-            else:
-                tag, raw = 1, arr.astype("<f8")
+            tag = 0 if arr.dtype == np.float32 else 1
+            raw = arr.astype(_DTYPE_TAGS[tag])
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
@@ -332,11 +330,11 @@ def load_model_state(model: mdl.Module, ckpt: Checkpoint, role: str) -> None:
         if key not in ckpt.entries:
             raise CheckpointError(f"checkpoint is missing entry {key!r}")
         arr = ckpt.entries[key]
-        if tuple(arr.shape) != tuple(p.tensor.shape):
+        if arr.shape != p.shape:
             raise CheckpointError(
-                f"entry {key!r} has shape {tuple(arr.shape)}, model expects {tuple(p.tensor.shape)}"
+                f"entry {key!r} has shape {arr.shape}, model expects {p.shape}"
             )
-        p.tensor.data = arr.astype(p.tensor.data.dtype, copy=True)
+        p.data = arr.astype(p.dtype, copy=True)
 
 
 def _count_entry(ckpt: Checkpoint, key: str) -> int:
@@ -437,6 +435,12 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def check_train_split(train_set: SeismicDataset) -> None:
+    """Raise ValueError unless the split fills one batch: batch statistics need 2 patches."""
+    if len(train_set) < 2:
+        raise ValueError(f"training split needs at least 2 patches, got {len(train_set)}")
+
+
 def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val_set: SeismicDataset,
          cfg: TrainConfig, out_dir, resume: Checkpoint | None, step_hook) -> list:
     """The epoch loop both families share; returns the history rows.
@@ -448,10 +452,7 @@ def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val
     the step's graph is freed when it returns. Per epoch: validation,
     history CSV rewrite, cadenced "last" and best-validation checkpoints.
     """
-    if len(train_set) == 0:
-        raise ValueError("training split is empty")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    check_train_split(train_set)
     order_rng = np.random.default_rng([cfg.seed, 101])
     history: list = []
     start_epoch = 0
@@ -463,6 +464,8 @@ def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val
         for role, opt in opts.items():
             _load_adam_state(opt, resume, role)
         order_rng, history, start_epoch, best_val = _load_runtime(resume)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     guard = _DivergenceGuard()
     step = 0

@@ -155,6 +155,7 @@ class TestConfigSchema:
         ("qcgan", "model", "quantum", 1),
         ("qcgan", "train", "seed", True),
         ("qcgan", "train", "grad_clip", -1.0),
+        ("qcgan", "train", "seed", -1),
         # values only the network constructors reject
         ("qcgan", "model", "n_qubits", 0),
         ("qcgan", "model", "circuit_depth", -1),
@@ -163,13 +164,25 @@ class TestConfigSchema:
         ("qcgan", "model", "input_scale", float("inf")),
     ]
 
+    @staticmethod
+    def base_doc(family, data, out_dir):
+        """A config that trains; each MALFORMED row breaks it in one value."""
+        return {"data": {"dir": str(data)},
+                "model": {"family": family, "base_channels": 4, "blocks": 2},
+                "train": {"epochs": 1, "batch_size": 8, "out_dir": str(out_dir)}}
+
+    @pytest.mark.parametrize("family", ["qcgan", "unet"])
+    def test_base_config_trains(self, small_dataset, lfe_dataset, tmp_path, family):
+        doc = self.base_doc(family, lfe_dataset if family == "unet" else small_dataset, tmp_path / "out")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli(["train", "--config", str(config)]) == cli.EXIT_OK
+
     @pytest.mark.parametrize("family, section, key, value", MALFORMED,
                              ids=[f"{f}-{k}={json.dumps(v)}" for f, _, k, v in MALFORMED])
     def test_malformed_value_exits_config(self, small_dataset, lfe_dataset, tmp_path,
                                           family, section, key, value):
-        doc = {"data": {"dir": str(lfe_dataset if family == "unet" else small_dataset)},
-               "model": {"family": family, "base_channels": 4},
-               "train": {"epochs": 1, "batch_size": 8, "out_dir": str(tmp_path / "out")}}
+        doc = self.base_doc(family, lfe_dataset if family == "unet" else small_dataset, tmp_path / "out")
         doc[section][key] = value
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(doc))
@@ -499,6 +512,13 @@ class TestArchCompatibility:
                          "--height", "40", "--width", "40", "--seed", "3"]) == 0
         doc = train_config(data, tmp_path / "out", epochs=2)
         assert resume(doc, trained, tmp_path) == cli.EXIT_MISMATCH
+        assert not (tmp_path / "out").exists()  # refused before the run directory is made
+
+    def test_unet_refuses_another_base_channels(self, unet_trained, lfe_dataset, tmp_path):
+        doc = unet_config(lfe_dataset, tmp_path / "out", epochs=2)
+        doc["model"]["base_channels"] = 8
+        assert resume(doc, unet_trained, tmp_path) == cli.EXIT_MISMATCH
+        assert not (tmp_path / "out").exists()
 
     def test_qcgan_patch_mismatch_names_the_fields(self, trained, tmp_path):
         data = tmp_path / "interp40"
@@ -725,7 +745,21 @@ class TestNoTraceback:
         proc = run_module(["gen-data", "--task", "denoise", "--out", str(tmp_path / "d"),
                            "--n", "10", "--height", "8", "--width", "8", *flags])
         assert_exit(proc, cli.EXIT_CONFIG)
+        assert "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "d").exists()
+
+    def test_train_split_of_one_patch(self, small_dataset, tmp_path):
+        # one patch fills no batch: batch statistics need two
+        data = copy_dataset(small_dataset, tmp_path / "data")
+        train = seisdata.load_split(data, "train")
+        seisdata.save_seis(data / "train.seis", seisdata.SeismicDataset(
+            train.targets[:1], train.degraded[:1], train.masks[:1], train.dt, train.dx, train.task))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(train_config(data, tmp_path / "out", epochs=1)))
+        proc = run_module(["train", "--config", str(config)])
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--dx", "1e300"], ["--v-lo", "1e-300", "--v-hi", "1e-300"]],
                              ids=lambda flags: " ".join(flags))

@@ -194,6 +194,25 @@ class TestParameterBookkeeping:
             h.update(p.data.tobytes())
         assert (len(entries), h.hexdigest()) == (count, digest)
 
+    @pytest.mark.parametrize("model_cls, cfg_cls", [build[:2] for build in DEFAULT_BUILDS],
+                             ids=["generator", "discriminator", "unet"])
+    def test_parameters_are_tensors(self, model_cls, cfg_cls):
+        """A parameter is its own tensor, and `trainable` is its `requires_grad`, stored once."""
+        entries = list(model_cls(cfg_cls()).named_parameters())
+        for name, p in entries:
+            assert isinstance(p, ag.Tensor), name
+            assert p.tensor is p, name
+            assert p.trainable == p.requires_grad, name
+        assert {p.trainable for _, p in entries} == {True, False}  # weights and buffers alike
+
+    def test_conv2d_takes_parameters(self):
+        conv = mdl.Conv2d(2, 3, 3, np.random.default_rng(0), padding=1)
+        x = make_input((2, 2, 5, 5))
+        out = ag.conv2d(x, conv.weight, conv.bias, 1, 1)
+        assert np.array_equal(out.data, conv(x).data)
+        ag.backward(ag.tsum(out))
+        assert conv.weight.grad.shape == conv.weight.shape and conv.bias.grad.shape == conv.bias.shape
+
     def test_names_unique(self):
         gen = mdl.Generator(small_gen_cfg(), init_seed=0)
         names = [name for name, _ in gen.named_parameters()]

@@ -135,7 +135,7 @@ class TestQuantumForward:
         donor = QuantumConv(QuantumLayerConfig(seed=9))
         x = np.random.default_rng(4).normal(size=(1, 2, 2, 8))
         before = layer(ag.Tensor(x, dtype=np.float64)).data
-        entries = {f"q.{name}": p.tensor.data for name, p in donor.named_parameters()}
+        entries = {f"q.{name}": p.data for name, p in donor.named_parameters()}
         load_model_state(layer, Checkpoint(version=1, config={}, entries=entries), "q")
         after = layer(ag.Tensor(x, dtype=np.float64)).data
         want = scalar_loop_forward(x, donor.circuits(), cfg)

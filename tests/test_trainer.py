@@ -39,14 +39,14 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         p = Parameter(np.array([1.0, 2.0]), name="w")
         opt = Adam([p], lr=0.1)
-        p.tensor.grad = np.zeros(2, dtype=np.float32)
+        p.grad = np.zeros(2, dtype=np.float32)
         opt.step()
         assert np.array_equal(p.data, [1.0, 2.0])
 
     def test_first_step_magnitude(self):
         p = Parameter(np.array([0.0]), name="w")
         opt = Adam([p], lr=0.1)
-        p.tensor.grad = np.ones(1, dtype=np.float32)
+        p.grad = np.ones(1, dtype=np.float32)
         opt.step()
         assert abs(p.data[0] + 0.1) < 1e-6  # bias correction makes the first step ~= lr
 
@@ -57,14 +57,14 @@ class TestAdam:
         opt = Adam([p], lr=0.05)
         reference = scalar_adam_reference(0.5, grads, 0.05)
         for g, want in zip(grads, reference):
-            p.tensor.grad = np.array([g])
+            p.grad = np.array([g])
             opt.step()
             assert abs(p.data[0] - want) < 1e-7
 
     def test_non_finite_gradient_skips_step(self):
         p = Parameter(np.array([1.0]), name="w")
         opt = Adam([p], lr=0.1)
-        p.tensor.grad = np.array([np.nan], dtype=np.float32)
+        p.grad = np.array([np.nan], dtype=np.float32)
         assert not opt.step()
         assert opt.skipped == 1 and opt.step_count == 0
         assert p.data[0] == 1.0
@@ -73,14 +73,14 @@ class TestAdam:
 class TestClipping:
     def test_norm_reduced(self):
         p = Parameter(np.zeros(4), name="w")
-        p.tensor.grad = np.full(4, 10.0, dtype=np.float32)
+        p.grad = np.full(4, 10.0, dtype=np.float32)
         norm = trainer.clip_global_norm([p], 5.0)
         assert abs(norm - 20.0) < 1e-5
         assert abs(np.sqrt(np.sum(p.grad ** 2)) - 5.0) < 1e-5
 
     def test_small_gradients_untouched(self):
         p = Parameter(np.zeros(4), name="w")
-        p.tensor.grad = np.full(4, 0.1, dtype=np.float32)
+        p.grad = np.full(4, 0.1, dtype=np.float32)
         trainer.clip_global_norm([p], 5.0)
         assert np.allclose(p.grad, 0.1)
 
@@ -111,7 +111,7 @@ def param_digest(model):
     h = hashlib.sha256()
     for name, p in model.named_parameters():
         h.update(name.encode())
-        h.update(p.tensor.data.tobytes())
+        h.update(p.data.tobytes())
     return h.hexdigest()
 
 
@@ -164,6 +164,16 @@ class TestTrainGan:
         cfg = TrainConfig(epochs=1, batch_size=8)
         with pytest.raises(ValueError):
             trainer.train_gan(gen, disc, train, val, cfg, tmp_path / "x")
+
+    def test_split_of_one_patch_rejected(self, interp_data, tmp_path):
+        # one patch fills no batch (batch statistics need two), so nothing would train
+        train, val = interp_data
+        one = sd.SeismicDataset(train.targets[:1], train.degraded[:1], train.masks[:1],
+                                train.dt, train.dx, train.task)
+        gen, disc = small_models()
+        with pytest.raises(ValueError, match="at least 2 patches"):
+            trainer.train_gan(gen, disc, one, val, TrainConfig(epochs=1, batch_size=8), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrainUnet:
@@ -248,7 +258,7 @@ class TestCheckpoints:
         trainer.save_checkpoint(path, "denoise", roles, {}, TrainConfig(), {"epoch": 1})
         before = path.read_bytes()
         # the last entry cannot be cast to <f8, so the save fails after writing the others
-        list(disc.named_parameters())[-1][1].tensor.data = np.array(["not a number"])
+        list(disc.named_parameters())[-1][1].data = np.array(["not a number"])
         with pytest.raises(ValueError):
             trainer.save_checkpoint(path, "denoise", roles, {}, TrainConfig(), {"epoch": 2})
         assert path.read_bytes() == before
@@ -277,6 +287,9 @@ class TestCheckpoints:
                                "discriminator": disc_twin.arch_config()})
         with pytest.raises(trainer.CheckpointError):
             trainer.load_model_state(twin, ckpt, "generator")
+        with pytest.raises(trainer.CheckpointError):
+            trainer.train_gan(twin, disc_twin, train, val, cfg, tmp_path / "twin", resume=ckpt)
+        assert not (tmp_path / "twin").exists()  # refused before the run directory is made
 
     def test_arch_mismatch_names_roles_and_fields(self):
         unet = mdl.UNet(mdl.UNetConfig(base_channels=4), init_seed=0).arch_config()
@@ -299,8 +312,8 @@ class TestCheckpoints:
         gen2 = mdl.build_model(ckpt.config["arch"]["generator"], init_seed=0)
         trainer.load_model_state(gen2, ckpt, "generator")
         # tamper with the stored angles: circuits must track the buffers
-        original = gen2.blocks[0].qconv._params["circuit0_angles"].tensor.data.copy()
-        gen2.blocks[0].qconv._params["circuit0_angles"].tensor.data = original + 0.3
+        original = gen2.blocks[0].qconv._params["circuit0_angles"].data.copy()
+        gen2.blocks[0].qconv._params["circuit0_angles"].data = original + 0.3
         circuits = gen2.blocks[0].qconv.circuits()
         assert np.allclose(circuits[0].angles, original + 0.3)
 
@@ -331,7 +344,7 @@ class TestResume:
         p = Parameter(np.array([1.0, -2.0]), name="w")
         opt = Adam([p], lr=0.01)
         for _ in range(3):
-            p.tensor.grad = np.array([0.5, -0.25], dtype=np.float32)
+            p.grad = np.array([0.5, -0.25], dtype=np.float32)
             opt.step()
         entries = dict(trainer._optimizer_entries("model", opt))
         ckpt = Checkpoint(version=1, config={}, entries=entries)
@@ -356,7 +369,7 @@ BLAS_RUN = textwrap.dedent("""
     for model in (gen, disc):
         for name, p in model.named_parameters():
             h.update(name.encode())
-            h.update(p.tensor.data.tobytes())
+            h.update(p.data.tobytes())
     threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else -1
     print(h.hexdigest(), threads)
 """)
