@@ -123,6 +123,8 @@ def resolve_config(doc: dict) -> dict:
         raise ConfigError("train.out_dir is required")
     for name, defaults in _SECTIONS.items():
         _check_types(name, resolved[name], defaults)
+    if resolved["model"]["init_seed"] < 0:
+        raise ConfigError(f"model.init_seed must be >= 0, got {resolved['model']['init_seed']}")
     resolved["train"]["seed"] = _env_seed(resolved["train"]["seed"])
     return resolved
 
@@ -201,12 +203,12 @@ def cmd_train(args) -> int:
         raise ConfigError(f"task {train_set.task!r} needs model family {expected_family!r}, "
                           f"config says {family!r}")
 
-    # the networks are built and the resume checkpoint loaded and matched to their
-    # arch before out_dir is made, so a bad model section or checkpoint leaves nothing behind
+    # the networks are built and the resume checkpoint loaded and matched to their task, arch
+    # and runtime state before out_dir is made, so a bad model section or checkpoint leaves nothing behind
     nets = _models(cfg["model"], train_set.patch_shape)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
     if resume is not None:
-        resume.require_arch({role: net.arch_config() for role, net in nets.items()})
+        trainer.check_resume(resume, train_set.task, nets)
     out_dir = Path(cfg["train"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w") as fh:
@@ -228,9 +230,7 @@ def cmd_train(args) -> int:
 
 
 def _restore_eval_model(ckpt: trainer.Checkpoint, task: str):
-    if ckpt.require("task") != task:
-        raise trainer.CheckpointError(
-            f"checkpoint was trained on task {ckpt.config['task']!r} but dataset is {task!r}")
+    ckpt.require_task(task)
     arch = ckpt.require("arch")
     if not isinstance(arch, dict) or not {"generator", "model"} & arch.keys():
         raise trainer.CheckpointError("checkpoint has no restorable model entry")

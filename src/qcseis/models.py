@@ -11,8 +11,12 @@ complementarity loss.
 The three families share one design, declared once: `NetConfig` holds
 the settings and defaults they have in common (width, quantum split,
 circuits, patch size), and `_Network` owns the config, the kept pairs,
-the architecture dict that checkpoints record and the [B, 1, T, S] input
-check. The generator and the discriminator also share one trunk,
+the architecture dict that checkpoints record and the input checks. Its
+`_check_patch` is the one patch rule, run when a network is built and on
+each input: dims divisible by the family's `scale` (how far below the
+patch its deepest quantum layer sits), `n_qubits` traces left at that
+scale, and the configured patch for the discriminator, whose head the
+patch sizes. The generator and the discriminator also share one trunk,
 `_DualPath`: the strided stem and the stack of dual-path blocks, run by
 one method that collects the blocks' pairs. Each family adds only its
 own fields, its other layers and its forward pass. `arch_signature` is
@@ -326,10 +330,11 @@ class UNetConfig(NetConfig):
 
 
 class _Network(Module):
-    """Shell every family shares: its config, kept pairs, arch dict and [B, 1, T, S] input check."""
+    """Shell every family shares: its config, kept pairs, arch dict and patch checks."""
 
     family: str  # the name checkpoints record
     config_type: type
+    scale: int  # how many times smaller than the patch the deepest quantum layer's map is
     unread = ()  # config fields the layers never read, so checkpoints are not checked on them
     retired = {}  # fields older checkpoints record, each with the one value it could take
 
@@ -337,11 +342,23 @@ class _Network(Module):
         super().__init__()
         self.cfg = cfg
         self._pairs = None
+        self._check_patch(cfg.patch_height, cfg.patch_width)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 1:
             raise ag.ShapeError(f"{self.family} expects [B, 1, T, S], got {x.shape}")
+        self._check_patch(*x.shape[2:])
         return self.forward(x)
+
+    def _check_patch(self, t: int, s: int) -> None:
+        """Raise ShapeError unless the layers can run a t x s patch (see the module docstring)."""
+        cfg, k = self.cfg, self.scale
+        if t % k or s % k:
+            raise ag.ShapeError(f"{self.family} needs patch dims divisible by {k}, got {t}x{s}")
+        if cfg.quantum and s // k < cfg.n_qubits:
+            raise ag.ShapeError(f"{self.family} trace axis {s} too short for the quantum window at 1/{k}")
+        if "patch_height" not in self.unread and (t, s) != (cfg.patch_height, cfg.patch_width):
+            raise ag.ShapeError(f"{self.family} is built for {cfg.patch_height}x{cfg.patch_width}, got {t}x{s}")
 
     def release_pairs(self):
         """Forget the complementarity pairs of the last forward, and the graph they reach."""
@@ -400,6 +417,7 @@ class Generator(_DualPath):
 
     family = "generator"
     config_type = GeneratorConfig
+    scale = 2
     unread = ("patch_height", "patch_width")
     retired = {"upsample_factor": 2}
 
@@ -411,11 +429,6 @@ class Generator(_DualPath):
         self.out_conv = Conv2d(1, 1, 3, rng, padding=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        _, _, t, s = x.shape
-        if t % 2 or s % 2:
-            raise ag.ShapeError(f"generator needs even patch dims, got {t}x{s}")
-        if self.cfg.quantum and s // 2 < self.cfg.n_qubits:
-            raise ag.ShapeError(f"trace axis {s} too short for the quantum window after the stem")
         x0, h = self._trunk(x, pool=False)
         up = ag.pixel_shuffle(self.up_conv(ag.add(x0, h)), 2)
         return self.out_conv(up)
@@ -430,29 +443,15 @@ class Discriminator(_DualPath):
 
     family = "discriminator"
     config_type = DiscriminatorConfig
+    scale = property(lambda self: 2 ** self.cfg.blocks)  # the stem and each pool halve the map
 
     def __init__(self, cfg: DiscriminatorConfig, init_seed: int = 0, dtype=np.float32):
-        t, s = cfg.patch_height, cfg.patch_width
-        if t % 2 or s % 2:
-            raise ValueError(f"patch dims must be even, got {t}x{s}")
-        h, w = t // 2, s // 2
-        for _ in range(cfg.blocks - 1):
-            if h % 2 or w % 2:
-                raise ValueError(f"patch {t}x{s} cannot be pooled {cfg.blocks - 1} times after the stem")
-            h, w = h // 2, w // 2
-        if cfg.quantum and w < cfg.n_qubits:
-            raise ValueError(f"final trace axis {w} too short for the quantum window")
         rng = np.random.default_rng(init_seed)
         super().__init__(cfg, rng, dtype, seed_offset=1000, fuse_last=False)
-        self.feature_dim = self.blocks[-1].out_channels * h * w
+        self.feature_dim = self.blocks[-1].out_channels * cfg.patch_height * cfg.patch_width // self.scale**2
         self.head = Linear(self.feature_dim, 1, rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[2] != self.cfg.patch_height or x.shape[3] != self.cfg.patch_width:
-            raise ag.ShapeError(
-                f"discriminator configured for {self.cfg.patch_height}x{self.cfg.patch_width} "
-                f"patches, got {x.shape[2]}x{x.shape[3]}"
-            )
         _, h = self._trunk(x, pool=True)
         return ag.sigmoid(self.head(ag.flatten(h)))
 
@@ -477,6 +476,7 @@ class UNet(_Network):
 
     family = "unet"
     config_type = UNetConfig
+    scale = 8
     unread = ("patch_height", "patch_width")
     retired = {"levels": 3}
 
@@ -506,11 +506,6 @@ class UNet(_Network):
         self.out_conv = Conv2d(c0, 1, 3, rng, padding=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        _, _, t, s = x.shape
-        if t % 8 or s % 8:
-            raise ag.ShapeError(f"unet needs patch dims divisible by 8, got {t}x{s}")
-        if self.cfg.quantum and s // 8 < self.cfg.n_qubits:
-            raise ag.ShapeError(f"trace axis {s} too short for the quantum window at the bottleneck")
         e1 = self.enc1(x)
         e2 = self.enc2(ag.maxpool2d(e1, 2))
         e3 = self.enc3(ag.maxpool2d(e2, 2))

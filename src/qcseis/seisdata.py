@@ -98,6 +98,8 @@ class DegradationSpec:
         if self.regular_pattern != "keep2drop1":
             raise ValueError("only the keep-two-drop-one regular pattern is supported")
         _check_positive("noise sigma", self.noise_sigma)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for band in (self.input_band, self.label_band):
             if band[1] <= band[0] or band[0] < 0:
                 raise ValueError(f"band {band} must be ordered and non-negative")

@@ -44,6 +44,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_model_state",
+    "check_resume",
     "check_train_split",
     "predict",
     "train_gan",
@@ -166,6 +167,12 @@ class Checkpoint:
         if key not in self.config:
             raise CheckpointError(f"checkpoint config has no {key!r} entry")
         return self.config[key]
+
+    def require_task(self, task: str) -> None:
+        """Fail unless the checkpoint was trained on `task`."""
+        if self.require("task") != task:
+            raise CheckpointError(
+                f"checkpoint was trained on task {self.config['task']!r} but dataset is {task!r}")
 
     def require_arch(self, arch: dict) -> None:
         """Fail unless the stored roles match `arch`'s, each on `models.arch_signature`.
@@ -377,6 +384,14 @@ def _load_runtime(ckpt: Checkpoint):
     return rng, history, epoch, best_val
 
 
+def check_resume(ckpt: Checkpoint, task: str, models: dict):
+    """`_load_runtime(ckpt)`, after checking that the checkpoint was trained on `task` and that its
+    arch matches that of `models`, role by role. Raises CheckpointError at the first misfit."""
+    ckpt.require_task(task)
+    ckpt.require_arch({role: m.arch_config() for role, m in models.items()})
+    return _load_runtime(ckpt)
+
+
 def _write_history(path, rows) -> None:
     with replacing(path, "w") as fh:
         writer = csv.writer(fh)
@@ -458,12 +473,11 @@ def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val
     start_epoch = 0
     best_val = float("inf")
     if resume is not None:
-        resume.require_arch({role: m.arch_config() for role, m in models.items()})
+        order_rng, history, start_epoch, best_val = check_resume(resume, task, models)
         for role, m in models.items():
             load_model_state(m, resume, role)
         for role, opt in opts.items():
             _load_adam_state(opt, resume, role)
-        order_rng, history, start_epoch, best_val = _load_runtime(resume)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -89,6 +89,19 @@ class TestGenData:
                         "--height", "32", "--width", "32", "--noise-sigma", sigma]) == cli.EXIT_CONFIG
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("seed_flag, env_seed, value", [(["--seed", "-3"], None, "-3"), ([], "-2", "-2")],
+                             ids=["flag", "QCSEIS_SEED"])
+    def test_negative_seed_named(self, tmp_path, monkeypatch, seed_flag, env_seed, value):
+        if env_seed is None:
+            monkeypatch.delenv("QCSEIS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QCSEIS_SEED", env_seed)
+        proc = run_module(["gen-data", "--task", "denoise", "--out", str(tmp_path / "d"),
+                           "--n", "10", "--height", "8", "--width", "8", *seed_flag])
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert f"seed must be >= 0, got {value}" in proc.stderr
+        assert not (tmp_path / "d").exists()
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QCSEIS_SEED", "77")
         run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "a"),
@@ -193,6 +206,33 @@ class TestConfigSchema:
         assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()  # rejected before the run directory is made
+
+
+    def test_negative_init_seed_named(self, small_dataset, tmp_path):
+        doc = self.base_doc("qcgan", small_dataset, tmp_path / "out")
+        doc["model"]["init_seed"] = -1
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        proc = run_module(["train", "--config", str(config)])
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert "model.init_seed must be >= 0, got -1" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    # 36 traces do not divide by 8; 24 leave 3 traces at the bottleneck, too few for 4 qubits
+    @pytest.mark.parametrize("width, error", [
+        (36, "unet needs patch dims divisible by 8, got 64x36"),
+        (24, "unet trace axis 24 too short for the quantum window at 1/8"),
+    ], ids=["64x36", "64x24"])
+    def test_unet_patch_rejected_before_out_dir(self, tmp_path, width, error):
+        data = tmp_path / "lfe"
+        assert cli.main(["gen-data", "--task", "lfe", "--out", str(data), "--n", "10",
+                         "--height", "64", "--width", str(width), "--seed", "1"]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(self.base_doc("unet", data, tmp_path / "out")))
+        proc = run_module(["train", "--config", str(config)])
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert error in proc.stderr, proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainCommand:
@@ -434,29 +474,47 @@ class TestEvalCommand:
 
 
 class TestResumeErrors:
-    @pytest.mark.parametrize("edit", [
-        in_blob(drop_key("runtime")),
-        in_blob(set_config(("runtime",), [])),
-        in_blob(set_config(("runtime", "epoch"), None)),
-        in_blob(set_config(("runtime", "epoch"), "x")),
-        in_blob(set_config(("runtime", "rng_state"), None)),
-        in_blob(set_config(("runtime", "rng_state"), {"bit_generator": "MT19937"})),
-        in_blob(set_config(("runtime", "history"), 3)),
-        in_blob(set_config(("runtime", "history"), [["1", "train"]])),
-        in_blob(set_config(("runtime", "best_val_mae"), None)),
-        in_blob(set_config(("runtime", "best_val_mae"), "x")),
-        rename_entry("adam.generator.step", "adam.generator.stXp"),
-        nan_count("adam.discriminator.skipped"),
+    # a malformed runtime entry is found with the checkpoint's task and arch, before out_dir is made;
+    # a parameter or Adam entry only once the optimizers exist, after the config echo
+    @pytest.mark.parametrize("edit, before_out_dir", [
+        (in_blob(drop_key("runtime")), True),
+        (in_blob(set_config(("runtime",), [])), True),
+        (in_blob(set_config(("runtime", "epoch"), None)), True),
+        (in_blob(set_config(("runtime", "epoch"), "x")), True),
+        (in_blob(set_config(("runtime", "rng_state"), None)), True),
+        (in_blob(set_config(("runtime", "rng_state"), {"bit_generator": "MT19937"})), True),
+        (in_blob(set_config(("runtime", "history"), 3)), True),
+        (in_blob(set_config(("runtime", "history"), [["1", "train"]])), True),
+        (in_blob(set_config(("runtime", "best_val_mae"), None)), True),
+        (in_blob(set_config(("runtime", "best_val_mae"), "x")), True),
+        (rename_entry("adam.generator.step", "adam.generator.stXp"), False),
+        (nan_count("adam.discriminator.skipped"), False),
     ], ids=["no_runtime", "runtime_not_object", "no_epoch", "epoch_not_int", "no_rng_state",
             "foreign_rng_state", "history_not_list", "short_history_row", "no_best_val_mae",
             "best_val_mae_not_number", "no_adam_step", "nan_adam_skipped"])
-    def test_malformed_resume_exit_code(self, trained, small_dataset, tmp_path, edit):
+    def test_malformed_resume_exit_code(self, trained, small_dataset, tmp_path, edit, before_out_dir):
         path = tmp_path / "malformed.qckp"
         path.write_bytes(edit(trained.read_bytes()))
         config = tmp_path / "resume.json"
         config.write_text(json.dumps(train_config(small_dataset, tmp_path / "out", epochs=2)))
         code = run_cli(["train", "--config", str(config), "--workers", "1", "--resume", str(path)])
         assert code == cli.EXIT_MISMATCH
+        if before_out_dir:
+            assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_of_another_task(self, trained, tmp_path):
+        # `trained` learned interpolation_random; the same arch fits this denoise dataset
+        data = tmp_path / "denoise"
+        assert cli.main(["gen-data", "--task", "denoise", "--out", str(data), "--n", "20",
+                         "--height", "32", "--width", "32", "--seed", "3"]) == 0
+        doc = train_config(data, tmp_path / "out", epochs=2)
+        doc["data"]["task"] = "denoise"
+        config = tmp_path / "resume.json"
+        config.write_text(json.dumps(doc))
+        proc = run_module(["train", "--config", str(config), "--resume", str(trained)])
+        assert_exit(proc, cli.EXIT_MISMATCH)
+        assert "trained on task 'interpolation_random' but dataset is 'denoise'" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def unet_config(data_dir, out_dir, epochs=1):

@@ -1,5 +1,6 @@
 """Model assembly tests: shape contracts, twins, gradient flow, pairs."""
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -143,6 +144,115 @@ class TestInputCheck:
         net = cls(cfg(), init_seed=0)
         with pytest.raises(ag.ShapeError, match=rf"^{family} expects \[B, 1, T, S\]"):
             net(make_input(shape))
+
+
+# The patch checks as each family wrote them before `_Network._check_patch`, copied with `self.cfg`
+# read as `cfg` and `x.shape` as `t, s`: the reference the one rule must agree with.
+def reference_generator_forward(cfg, t, s):
+    if t % 2 or s % 2:
+        raise ag.ShapeError(f"generator needs even patch dims, got {t}x{s}")
+    if cfg.quantum and s // 2 < cfg.n_qubits:
+        raise ag.ShapeError(f"trace axis {s} too short for the quantum window after the stem")
+
+
+def reference_unet_forward(cfg, t, s):
+    if t % 8 or s % 8:
+        raise ag.ShapeError(f"unet needs patch dims divisible by 8, got {t}x{s}")
+    if cfg.quantum and s // 8 < cfg.n_qubits:
+        raise ag.ShapeError(f"trace axis {s} too short for the quantum window at the bottleneck")
+
+
+def reference_discriminator_init(cfg, t, s):
+    t, s = cfg.patch_height, cfg.patch_width
+    if t % 2 or s % 2:
+        raise ValueError(f"patch dims must be even, got {t}x{s}")
+    h, w = t // 2, s // 2
+    for _ in range(cfg.blocks - 1):
+        if h % 2 or w % 2:
+            raise ValueError(f"patch {t}x{s} cannot be pooled {cfg.blocks - 1} times after the stem")
+        h, w = h // 2, w // 2
+    if cfg.quantum and w < cfg.n_qubits:
+        raise ValueError(f"final trace axis {w} too short for the quantum window")
+
+
+def reference_discriminator_forward(cfg, t, s):
+    if t != cfg.patch_height or s != cfg.patch_width:
+        raise ag.ShapeError(
+            f"discriminator configured for {cfg.patch_height}x{cfg.patch_width} "
+            f"patches, got {t}x{s}"
+        )
+
+
+def reference_accepts(check, cfg, t, s) -> bool:
+    try:
+        check(cfg, t, s)
+    except ValueError:
+        return False
+    return True
+
+
+PATCH_DIMS = range(8, 97, 4)
+# family: (class, config class, reference for the configured patch, reference at call).
+# The generator and the UNet checked only their inputs, and their layers cannot run a
+# configured patch those checks reject, so that check is their reference for both.
+PATCH_RULES = {
+    "generator": (mdl.Generator, mdl.GeneratorConfig, reference_generator_forward, reference_generator_forward),
+    "discriminator": (mdl.Discriminator, mdl.DiscriminatorConfig,
+                      reference_discriminator_init, reference_discriminator_forward),
+    "unet": (mdl.UNet, mdl.UNetConfig, reference_unet_forward, reference_unet_forward),
+}
+
+
+def tiny_cfg(cfg_cls, blocks, n_qubits, quantum, t, s):
+    """A cheap network config of the sweep: the patch rule reads no width or circuit count."""
+    extra = {} if cfg_cls is mdl.UNetConfig else {"blocks": blocks}
+    return cfg_cls(base_channels=2, n_circuits=1, circuit_depth=1, n_qubits=n_qubits, quantum=quantum,
+                   patch_height=t, patch_width=s, **extra)
+
+
+def sweep_settings(family):
+    """(blocks, n_qubits, quantum) of the sweep; the UNet has no blocks."""
+    blocks = [1] if family == "unet" else range(1, 5)
+    return itertools.product(blocks, range(1, 7), (True, False))
+
+
+class TestPatchRule:
+    """One `_check_patch` accepts and rejects every patch exactly as the per-family checks it replaced."""
+
+    @pytest.mark.parametrize("family", PATCH_RULES)
+    def test_constructor_accepts_what_the_reference_accepts(self, family):
+        cls, cfg_cls, reference, _ = PATCH_RULES[family]
+        wrong = []
+        for (blocks, n_qubits, quantum), t, s in itertools.product(sweep_settings(family), PATCH_DIMS, PATCH_DIMS):
+            cfg = tiny_cfg(cfg_cls, blocks, n_qubits, quantum, t, s)
+            try:
+                cls(cfg)
+                built = True
+            except ag.ShapeError:
+                built = False
+            if built != reference_accepts(reference, cfg, t, s):
+                wrong.append((blocks, n_qubits, quantum, t, s, built))
+        assert wrong == []
+
+    @pytest.mark.parametrize("family", PATCH_RULES)
+    def test_call_rejects_what_the_reference_rejects(self, family):
+        cls, cfg_cls, _, reference = PATCH_RULES[family]
+        inputs = {(t, s): ag.Tensor(np.zeros((1, 1, t, s), np.float32))
+                  for t, s in itertools.product(PATCH_DIMS, PATCH_DIMS)}
+        wrong = []
+        for blocks, n_qubits, quantum in sweep_settings(family):
+            # 64x96 fits every setting of the sweep, and only a non-square patch tells t from s
+            cfg = tiny_cfg(cfg_cls, blocks, n_qubits, quantum, 64, 96)
+            net = cls(cfg)
+            net.forward = lambda x: x  # the checks run before forward; this skips the layers
+            for (t, s), x in inputs.items():
+                try:
+                    ran = net(x) is x
+                except ag.ShapeError:
+                    ran = False
+                if ran != reference_accepts(reference, cfg, t, s):
+                    wrong.append((blocks, n_qubits, quantum, t, s, ran))
+        assert wrong == []
 
 
 class TestComplementarityPairs:

@@ -176,6 +176,22 @@ class TestTrainGan:
         assert not (tmp_path / "x").exists()
 
 
+    def test_checkpoint_of_another_task_refused(self, interp_data, tmp_path):
+        train, val = interp_data
+        gen, disc = small_models()
+        cfg = TrainConfig(epochs=2, batch_size=8)
+        opts = {"generator": Adam(gen.trainable_parameters(), 1e-4),
+                "discriminator": Adam(disc.trainable_parameters(), 1e-4)}
+        runtime = {"epoch": 1, "rng_state": np.random.default_rng(0).bit_generator.state,
+                   "history": [], "best_val_mae": None}
+        trainer.save_checkpoint(tmp_path / "denoise.qckp", "denoise",
+                                {"generator": gen, "discriminator": disc}, opts, cfg, runtime)
+        ckpt = trainer.load_checkpoint(tmp_path / "denoise.qckp")
+        with pytest.raises(trainer.CheckpointError, match="trained on task 'denoise'"):
+            trainer.train_gan(gen, disc, train, val, cfg, tmp_path / "x", resume=ckpt)
+        assert not (tmp_path / "x").exists()
+
+
 class TestTrainUnet:
     def test_runs_and_logs(self, lfe_data, tmp_path):
         train, val = lfe_data
