@@ -15,9 +15,9 @@ uses more than one core: it splits each batch into contiguous runs of
 items, one per CPU the process may use, and runs them on the worker
 threads (lanes) of a standard thread pool that starts with the first
 call that splits. Each item's im2col, GEMM and col2im are the calls they
-would be on one lane, and the only sums across items (dw, db) are single
-calls in the calling thread, so the lane count never changes a bit
-either. The quantum layer runs its fixed window chunks on the same lanes
+would be on one lane, and the only sums across items (dw, db) are
+whole-batch calls that no lane splits, so the lane count never changes a
+bit either. The quantum layer runs its fixed window chunks on the same lanes
 (see qlayer); no other op uses them.
 The graph is made of small nodes, one per recorded tensor, that hold no
 output data: only what each rule saves is kept, so an activation no rule
@@ -27,15 +27,17 @@ backward pass consumes the graph it differentiates, as PyTorch does
 gradient and the rule, and with the rule the arrays it saved, so a second
 backward through the same graph raises. Conv's rule saves its input, not
 its column matrix (recomputed rather than stored, as in Chen et al. 2016).
-Forward and backward build columns one way: each lane copies a cache
-block's worth of whole batch items at a time into its padded scratch and
-runs im2col on them. The forward multiplies each chunk into the output;
-backward writes the chunks into a buffer of the calling thread that lives
-as long as that thread and is the size of the largest column matrix it
-has differentiated, then writes the column gradient over them.
-Forward-only runs never create the buffer. The GEMMs are the per-item
-calls they always were, so neither the chunking nor the recomputation
-changes a bit. Each gradient keeps the memory order of its data (conv
+The forward builds columns a cache block's worth of whole batch items at a
+time, each lane in its padded scratch, and multiplies each chunk into the
+output. Backward takes one of two rules, chosen by the conv's sizes
+(_by_taps), each giving the bits of the full column matrix's GEMMs. Most
+convs of the default models go one kernel tap at a time with no column
+matrix (_tap_backward): dw from one whole-batch GEMM per tap over the tap's
+rows of the padded input, dx from each tap's product added into its
+shifted window. The rest, whose column matrices are small, rebuild their
+columns a chunk at a time into an array of the call, take dw from one GEMM
+over them and write the column gradient over them. No scratch array
+outlives the call. Each gradient keeps the memory order of its data (conv
 outputs are NHWC-strided), since the rules' reductions follow that order.
 Leaf gradients still accumulate across separate graphs.
 """
@@ -387,24 +389,9 @@ def _col2im(dcols: np.ndarray, dxn: np.ndarray, kh: int, kw: int, stride: int) -
                 dst[:, :, j : j + wend : stride] += dwin[n, lo:hi, :, :, i, j]
 
 
-# Conv backward rebuilds its column matrix here rather than keeping it from
-# the forward: one byte buffer per thread, grown to the largest column matrix
-# the thread has differentiated and reused by every later conv backward.
-_COLUMNS = threading.local()
-
-
-def _column_buffer(size: int, dtype) -> np.ndarray:
-    """The calling thread's column buffer as `size` elements of `dtype`."""
-    nbytes = size * np.dtype(dtype).itemsize
-    if getattr(_COLUMNS, "buf", None) is None or _COLUMNS.buf.nbytes < nbytes:
-        _COLUMNS.buf = None  # free the smaller buffer before allocating its successor
-        _COLUMNS.buf = np.empty(nbytes, np.uint8)
-    return _COLUMNS.buf[:nbytes].view(dtype)
-
-
-# CPUs this process may run on, read once: conv splits each batch into this
-# many runs of items at most, and the quantum layer its windows into this
-# many runs of chunks, one per lane.
+# CPUs this process may run on, read once: conv splits each batch (and its
+# backward's kernel taps) into this many runs at most, and the quantum layer
+# its windows into this many runs of chunks, one per lane.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _POOL = None, 0  # the worker lanes' executor and its thread count; the caller is lane 0
@@ -462,16 +449,82 @@ def _on_lanes(fn, calls) -> None:
         lane.result()
 
 
+def _by_taps(b: int, cin: int, cout: int, positions: int) -> bool:
+    """Whether conv backward takes the per-tap rule (_tap_backward) for these
+    sizes: it gives im2col's bits exactly where this holds.
+
+    On OpenBLAS (0.3.31, AVX-512 kernels) whole groups of 8 GEMM columns
+    come out the same in any GEMM, while the last N mod 8 take a kernel
+    chosen by the GEMM's size: a small-matrix path when M·N·K is below about
+    10⁶. A tap's dw GEMM has N = Cin where im2col's has 9·Cin, the same width
+    mod 8, and the same K = B·Ho·Wo in the same order, so it keeps the bits
+    when Cin fills at least one group of 8 and M·N·K = Cout·Cin·B·Ho·Wo keeps
+    it off the small-matrix path. This is a fact about that build, not a
+    setting: the tests pin which convs of the default models it picks.
+    """
+    return cin >= 8 and cout * cin * b * positions > 1_000_000
+
+
+def _tap_backward(xd, wd, gmat, ho: int, wo: int, stride: int, padding: int, runs):
+    """(dw, padded NHWC dx) of a conv, one kernel tap (i, j) at a time, with
+    no column matrix (the backward half of kn2row: Vasudevan, Anderson &
+    Gregg 2017).
+
+    dw[:, :, i, j] is the GEMM of the output gradient with the tap's rows of
+    the padded input, the rows im2col gives that tap in the same order; the
+    taps run over the lanes, each as one whole-batch GEMM. dx adds, per run
+    of items on its lane, each tap's product with W[:, :, i, j] into the
+    tap's shifted window of the padded gradient, taps in (i, j) order from
+    zero as _col2im sums them. gmat is the [B, Ho·Wo, Cout] output gradient.
+    """
+    b, cin, h, w = xd.shape
+    cout, _, kh, kw = wd.shape
+    p = padding
+    hend, wend = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    tap_runs = _runs(len(taps))
+    # every array the lanes write is allocated here in the calling thread:
+    # one a worker lane allocated would come from its own malloc arena
+    xn = np.zeros((b, h + 2 * p, w + 2 * p, cin), dtype=xd.dtype)
+    xn[:, p : p + h, p : p + w] = xd.transpose(0, 2, 3, 1)
+    scratch = np.empty((len(tap_runs), b * ho * wo, cin), dtype=xd.dtype)  # one tap's rows per lane
+    dwt = np.empty((kh, kw, cout, cin), dtype=xd.dtype)
+    # the left operand np.tensordot would make for every tap, made once
+    gt = gmat.transpose(2, 0, 1).reshape(cout, b * ho * wo)
+
+    def dw_run(lane, t0, t1):
+        rows = scratch[lane]
+        for i, j in taps[t0:t1]:
+            rows.reshape(b, ho, wo, cin)[...] = xn[:, i : i + hend : stride, j : j + wend : stride]
+            np.dot(gt, rows, out=dwt[i, j])
+
+    _on_lanes(dw_run, [(lane, t0, t1) for lane, (t0, t1) in enumerate(tap_runs)])
+    dxn = xn  # its padding is zero already
+    dxn[:, p : p + h, p : p + w] = 0
+    wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # [kh, kw, Cout, Cin]: each tap's matrix in C order
+    products = scratch[0].reshape(b, ho * wo, cin)
+
+    def dx_run(n, m):
+        for i, j in taps:
+            np.matmul(gmat[n:m], wt[i, j], out=products[n:m])
+            dxn[n:m, i : i + hend : stride, j : j + wend : stride] += products[n:m].reshape(m - n, ho, wo, cin)
+
+    _on_lanes(dx_run, runs)
+    return dwt.transpose(2, 3, 0, 1), dxn
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B, Cin, H, W] with [Cout, Cin, kh, kw] kernels.
 
-    Forward and backward split the batch into one run of items per lane
-    (_runs) and build its columns a chunk of whole items at a time. The rule
-    saves x; backward rebuilds the columns in the thread's column buffer.
-    Each matmul makes the per-item GEMM calls that one stacked matmul over
-    the full column matrix would, and only the dw and db reductions span
-    items, as single calls, so neither the lane count nor the chunking
-    changes a bit.
+    The forward splits the batch into one run of items per lane (_runs) and
+    builds its columns a chunk of whole items at a time. The rule saves x.
+    Backward goes one kernel tap at a time (_tap_backward) where _by_taps
+    says that keeps im2col's bits; elsewhere it rebuilds the columns in an
+    array of its own and takes dw from one GEMM and dx from one per-item GEMM
+    and _col2im. Each matmul makes the per-item GEMM calls that one stacked
+    matmul over the full column matrix would, and only the dw and db
+    reductions span items, as whole-batch calls, so neither the lane count,
+    the chunking nor the rule changes a bit.
     """
     _same_dtype(x, weight, bias)
     if x.ndim != 4 or weight.ndim != 4:
@@ -533,17 +586,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     w_shape = weight.shape
 
     def bwd(g):
-        cols = _column_buffer(b * size, xd.dtype).reshape(b, ho * wo, -1)
-        on_chunks(lambda lane, k, j: cols[k:j])
         gmat = g.reshape(b, cout, ho * wo).transpose(0, 2, 1)
-        dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
         db = g.sum(axis=(0, 2, 3))
-        dxn = np.zeros((b, hp, wp, cin), dtype=xd.dtype)
+        if _by_taps(b, cin, cout, ho * wo):
+            dw, dxn = _tap_backward(xd, weight.data, gmat, ho, wo, stride, padding, runs)
+        else:
+            cols = np.empty((b, ho * wo, wmat.shape[1]), dtype=xd.dtype)
+            on_chunks(lambda lane, k, j: cols[k:j])
+            dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
+            dxn = np.zeros((b, hp, wp, cin), dtype=xd.dtype)
 
-        def dx_run(n, m):
-            _col2im(np.matmul(gmat[n:m], wmat, out=cols[n:m]), dxn[n:m], kh, kw, stride)
+            def dx_run(n, m):
+                _col2im(np.matmul(gmat[n:m], wmat, out=cols[n:m]), dxn[n:m], kh, kw, stride)
 
-        _on_lanes(dx_run, runs)
+            _on_lanes(dx_run, runs)
         return dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2), dw, db
 
     return _result(out, (x, weight, bias), bwd)

@@ -330,18 +330,19 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(version=version, config=config, entries=entries)
 
 
+def _shaped_entry(ckpt: Checkpoint, key: str, shape) -> np.ndarray:
+    arr = ckpt.entries.get(key)
+    if arr is None:
+        raise CheckpointError(f"checkpoint is missing entry {key!r}")
+    if arr.shape != shape:
+        raise CheckpointError(f"entry {key!r} has shape {arr.shape}, model expects {shape}")
+    return arr
+
+
 def load_model_state(model: mdl.Module, ckpt: Checkpoint, role: str) -> None:
     """Copy every named parameter/buffer of `model` from checkpoint entries."""
     for name, p in model.named_parameters():
-        key = f"{role}.{name}"
-        if key not in ckpt.entries:
-            raise CheckpointError(f"checkpoint is missing entry {key!r}")
-        arr = ckpt.entries[key]
-        if arr.shape != p.shape:
-            raise CheckpointError(
-                f"entry {key!r} has shape {arr.shape}, model expects {p.shape}"
-            )
-        p.data = arr.astype(p.dtype, copy=True)
+        p.data = _shaped_entry(ckpt, f"{role}.{name}", p.shape).astype(p.dtype, copy=True)
 
 
 def _count_entry(ckpt: Checkpoint, key: str) -> int:
@@ -352,15 +353,12 @@ def _count_entry(ckpt: Checkpoint, key: str) -> int:
 
 
 def _load_adam_state(opt: Adam, ckpt: Checkpoint, role: str) -> None:
+    """Adam's counts and moments from entries check_resume has checked."""
     opt.step_count = _count_entry(ckpt, f"adam.{role}.step")
     opt.skipped = _count_entry(ckpt, f"adam.{role}.skipped")
     for i, p in enumerate(opt.params):
         for buf, kind in ((opt.m, "m"), (opt.v, "v")):
-            key = f"adam.{role}.{kind}.{p.name}"
-            arr = ckpt.entries.get(key)
-            if arr is None or arr.shape != buf[i].shape:
-                raise CheckpointError(f"checkpoint entry {key!r} is missing or misshapen")
-            buf[i] = arr.astype(buf[i].dtype, copy=True)
+            buf[i] = ckpt.entries[f"adam.{role}.{kind}.{p.name}"].astype(buf[i].dtype, copy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +383,17 @@ def _load_runtime(ckpt: Checkpoint):
 
 
 def check_resume(ckpt: Checkpoint, task: str, models: dict):
-    """`_load_runtime(ckpt)`, after checking that the checkpoint was trained on `task` and that its
-    arch matches that of `models`, role by role. Raises CheckpointError at the first misfit."""
+    """`_load_runtime(ckpt)`, after checking that the checkpoint was trained on `task`, that its
+    arch matches that of `models`, role by role, and that it holds every parameter and Adam entry
+    of each role in its shape, so loading them cannot fail. Raises CheckpointError at the first misfit."""
     ckpt.require_task(task)
     ckpt.require_arch({role: m.arch_config() for role, m in models.items()})
+    for role, m in models.items():
+        for name, p in m.named_parameters():  # what load_model_state and _load_adam_state read
+            for key in [f"{role}.{name}"] + [f"adam.{role}.{kind}.{name}" for kind in "mv" if p.trainable]:
+                _shaped_entry(ckpt, key, p.shape)
+        _count_entry(ckpt, f"adam.{role}.step")
+        _count_entry(ckpt, f"adam.{role}.skipped")
     return _load_runtime(ckpt)
 
 

@@ -105,6 +105,67 @@ def reference_conv2d(x, weight, bias, stride: int = 1, padding: int = 0):
     return out, bwd
 
 
+def im2col_conv2d(x, weight, bias, stride: int = 1, padding: int = 0):
+    """conv2d as it was before its backward went one kernel tap at a time:
+    every backward rebuilds the full column matrix, takes dw from one
+    tensordot over it and dx from one per-item GEMM and _col2im. Verbatim
+    but for the input checks and the column matrix, which came from a
+    per-thread buffer and is an array of the call here."""
+    b, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    xd = x.data
+    wmat = weight.data.reshape(cout, -1)
+    size = ho * wo * wmat.shape[1]  # column-matrix elements per batch item
+    runs = ag._runs(b)
+    items = min(max(m - n for n, m in runs), max(1, ag._BLOCK_BYTES // (size * xd.itemsize)))
+    p = padding
+    hp, wp = h + 2 * p, w + 2 * p
+
+    def on_chunks(cols_at, use=None):
+        padded = np.zeros((len(runs), items, hp, wp, cin), dtype=xd.dtype)
+
+        def run(lane, n, m):
+            xn = padded[lane]
+            for k in range(n, m, items):
+                j = min(m, k + items)
+                xn[: j - k, p : p + h, p : p + w] = xd[k:j].transpose(0, 2, 3, 1)
+                cols = ag._im2col(xn[: j - k], kh, kw, stride, cols_at(lane, k, j))
+                if use is not None:
+                    use(k, j, cols)
+
+        ag._on_lanes(run, [(lane, n, m) for lane, (n, m) in enumerate(runs)])
+
+    out = np.empty((b, ho * wo, cout), dtype=xd.dtype)
+    chunks = np.empty((len(runs), items * size), dtype=xd.dtype)
+
+    def product(k, j, cols):
+        np.matmul(cols, wmat.T, out=out[k:j])
+        out[k:j] += bias.data
+
+    on_chunks(lambda lane, k, j: chunks[lane, : (j - k) * size], product)
+    del chunks
+    out = out.transpose(0, 2, 1).reshape(b, cout, ho, wo)
+    w_shape = weight.shape
+
+    def bwd(g):
+        cols = np.empty(b * size, xd.dtype).reshape(b, ho * wo, -1)
+        on_chunks(lambda lane, k, j: cols[k:j])
+        gmat = g.reshape(b, cout, ho * wo).transpose(0, 2, 1)
+        dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
+        db = g.sum(axis=(0, 2, 3))
+        dxn = np.zeros((b, hp, wp, cin), dtype=xd.dtype)
+
+        def dx_run(n, m):
+            ag._col2im(np.matmul(gmat[n:m], wmat, out=cols[n:m]), dxn[n:m], kh, kw, stride)
+
+        ag._on_lanes(dx_run, runs)
+        return dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2), dw, db
+
+    return ag._result(out, (x, weight, bias), bwd)
+
+
 def bits(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     return a.view({4: np.uint32, 8: np.uint64}[a.itemsize])
@@ -250,6 +311,68 @@ class TestConvAtOddShapes:
                 monkeypatch.setattr(ag, "_BLOCK_BYTES", items * ho * wo * 2 * k * k * 8)
                 x, w, b = conv_inputs(rng, (5, 2, 9, 11), (3, 2, k, k), np.float64)
                 assert_conv_matches_reference(x, w, b, stride, padding, rng)
+
+
+def takes_taps(x_shape, w_shape, stride, padding) -> bool:
+    """Whether conv2d's backward goes one kernel tap at a time at these shapes."""
+    ho = (x_shape[2] + 2 * padding - w_shape[2]) // stride + 1
+    wo = (x_shape[3] + 2 * padding - w_shape[3]) // stride + 1
+    return ag._by_taps(x_shape[0], x_shape[1], w_shape[0], ho * wo)
+
+
+class TestTapRule:
+    """The convs whose backward goes one kernel tap at a time are picked by a
+    fact about this OpenBLAS build (_by_taps), so it is pinned here: which
+    default convs it picks, and that default-scale steps, which take it
+    where smoke-scale runs hardly do, keep the im2col conv's bits."""
+
+    # (input shape, weight shape) of the 17 default convs at batch 16 that
+    # take the tap rule; the other six (Cin = 1, and the discriminator's two
+    # smallest maps) keep im2col
+    TAPS = [((16, 24, 32, 32), (24, 24, 3, 3)), ((16, 28, 32, 32), (32, 28, 1, 1)),
+            ((16, 32, 32, 32), (4, 32, 3, 3)), ((16, 24, 16, 16), (24, 24, 3, 3)),
+            ((16, 28, 16, 16), (32, 28, 1, 1)), ((16, 32, 64, 64), (32, 32, 3, 3)),
+            ((16, 32, 32, 32), (64, 32, 3, 3)), ((16, 64, 32, 32), (64, 64, 3, 3)),
+            ((16, 64, 16, 16), (128, 64, 3, 3)), ((16, 128, 16, 16), (128, 128, 3, 3)),
+            ((16, 128, 8, 8), (256, 128, 3, 3)), ((16, 256, 8, 8), (256, 256, 3, 3)),
+            ((16, 196, 8, 8), (256, 196, 1, 1)), ((16, 256, 16, 16), (128, 256, 3, 3)),
+            ((16, 128, 32, 32), (64, 128, 3, 3)), ((16, 64, 64, 64), (32, 64, 3, 3)),
+            ((16, 32, 64, 64), (1, 32, 3, 3))]
+
+    def test_default_shapes_taking_the_tap_rule(self):
+        shapes = TestConvAtModelShapes.SHAPES
+        assert len(shapes) == 23
+        assert [(x, w) for x, w, s, p in shapes if takes_taps(x, w, s, p)] == self.TAPS
+
+    @pytest.mark.parametrize("make", [lambda: mdl.UNet(mdl.UNetConfig(), init_seed=3),
+                                      lambda: mdl.Generator(mdl.GeneratorConfig(), init_seed=3)],
+                             ids=["unet", "generator"])
+    def test_default_step_matches_the_im2col_conv(self, monkeypatch, make):
+        # one forward, L1 loss and backward at batch 16 on 2 lanes: the
+        # output and every parameter gradient, against the same step on
+        # im2col_conv2d
+        monkeypatch.setattr(ag, "_LANES", 2)
+        rng = np.random.default_rng(21)
+        x, target = rng.normal(size=(2, 16, 1, 64, 64)).astype(np.float32)
+        tap_calls = []
+        tap_backward = ag._tap_backward
+
+        def counting_tap_backward(*args):
+            tap_calls.append(args[0].shape)
+            return tap_backward(*args)
+
+        def step():
+            model = make()
+            out = model(t32(x))
+            ag.backward(ag.tmean(ag.absval(ag.sub(out, t32(target)))))
+            return [out.data] + [p.grad for p in model.trainable_parameters()]
+
+        monkeypatch.setattr(ag, "_tap_backward", counting_tap_backward)
+        by_taps = step()
+        assert tap_calls
+        monkeypatch.setattr(ag, "conv2d", im2col_conv2d)
+        for new, old in zip(by_taps, step(), strict=True):
+            assert_same_bits(new, old)
 
 
 class TestConvLanes:
@@ -766,6 +889,7 @@ class TestGraphHoldsNoActivation:
             assert_same_bits(released[name], held[name])
 
     def test_conv_backward_reuses_its_column_matrix(self, monkeypatch):
+        # both convs of the block are small enough to keep im2col's backward
         made, events = [], []
         im2col, col2im = ag._im2col, ag._col2im
 
@@ -789,18 +913,23 @@ class TestGraphHoldsNoActivation:
         made.clear()
         events.clear()
         ag.backward(root)
-        rebuilt = made
-        assert all(np.shares_memory(cols, ag._COLUMNS.buf) for cols in rebuilt)
-        assert not any(np.shares_memory(cols, ag._COLUMNS.buf) for cols in forward)
         # each conv, the second one first, rebuilds its columns a chunk at a
-        # time and then sums its dx on 2 lanes, writing the column gradient
-        # over the rebuilt columns: both cover its column matrix exactly once
+        # time in an array of its own and then sums its dx on 2 lanes,
+        # writing the column gradient over the rebuilt columns: both cover
+        # that array exactly once
         groups = [(kind, [s for _, s in group]) for kind, group in itertools.groupby(events, lambda e: e[0])]
         assert [kind for kind, _ in groups] == ["im2col", "col2im"] * 2
-        start = span(ag._COLUMNS.buf)[0]
+        owners = []
         for (_, built), (_, given), cin in zip(groups[::2], groups[1::2], (16, 3)):
+            assert not takes_taps((4, cin, 12, 12), (16, cin, 3, 3), 1, 1)
             assert len(given) == 2
-            assert tiling(built) == tiling(given) == (start, start + 4 * 12 * 12 * cin * 9 * 4)
+            owner = next(cols.base for cols in made if span(cols)[0] == tiling(built)[0])
+            assert tiling(built) == tiling(given) == (span(owner)[0], span(owner)[0] + 4 * 12 * 12 * cin * 9 * 4)
+            assert not any(np.shares_memory(owner, cols) for cols in forward)
+            owners.append(weakref.ref(owner))
+        del owner
+        made.clear()
+        assert [ref() is None for ref in owners] == [True, True]  # freed when its backward returned
 
     def test_unet_forward_keeps_a_third_of_the_old_bytes(self):
         # Bytes a default UNet forward at batch 2 keeps alive through its
@@ -819,16 +948,17 @@ class TestGraphHoldsNoActivation:
         assert kept < 130661121 / 3
 
 
-class TestColumnBuffer:
-    """Conv backward's per-thread column buffer."""
+class TestConvScratch:
+    """Conv backward's scratch arrays: small on the tap rule, and gone when it returns."""
 
     # column matrices of 0.3 to 5 MB, so that each thread's copies and GEMMs
-    # release the GIL while the other thread runs
+    # release the GIL while the other thread runs; each dtype has convs on
+    # both backward rules, and as many as the other, for the barrier
     CASES = {
         np.float32: [((8, 16, 32, 32), (16, 16, 3, 3), 1, 1), ((6, 12, 33, 31), (8, 12, 3, 3), 2, 1),
-                     ((8, 32, 16, 16), (24, 32, 1, 1), 1, 0)],
+                     ((8, 32, 16, 16), (24, 32, 1, 1), 1, 0), ((6, 8, 24, 24), (12, 8, 3, 3), 1, 1)],
         np.float64: [((4, 16, 32, 32), (8, 16, 3, 3), 1, 1), ((3, 6, 25, 27), (5, 6, 5, 5), 1, 2),
-                     ((5, 20, 19, 17), (6, 20, 3, 3), 3, 0)],
+                     ((5, 20, 19, 17), (6, 20, 3, 3), 3, 0), ((4, 16, 32, 32), (16, 16, 3, 3), 1, 1)],
     }
 
     @staticmethod
@@ -846,23 +976,69 @@ class TestColumnBuffer:
                 results.append([bits(a).tobytes() for a in (out.data, *out._backward(g))])
         return results
 
-    def test_forward_never_creates_the_buffer(self):
-        seen = {}
+    def test_cases_take_both_rules(self):
+        for cases in self.CASES.values():
+            assert sorted({takes_taps(*case) for case in cases}) == [False, True]
 
-        def forward_only():
-            x, w, b = conv_inputs(np.random.default_rng(0), (2, 3, 8, 8), (4, 3, 3, 3), np.float32)
-            ag.conv2d(x, w, b, 1, 1)
-            with ag.no_grad():
-                ag.conv2d(x, w, b, 1, 1)
-            seen["forward"] = getattr(ag._COLUMNS, "buf", None)
-            ag.conv2d(x, w, b, 1, 1)._backward(np.ones((2, 4, 8, 8), np.float32))
-            seen["backward"] = ag._COLUMNS.buf.nbytes
+    @pytest.mark.parametrize("x_shape, w_shape", [((8, 32, 32, 32), (32, 32, 3, 3)),
+                                                  ((8, 3, 32, 32), (32, 3, 3, 3))], ids=["taps", "im2col"])
+    def test_no_scratch_survives_backward_in_any_thread(self, monkeypatch, x_shape, w_shape):
+        # the backward runs on 2 lanes in a thread that lives on after it;
+        # once the output and gradients are dropped, the traced memory is
+        # back to where it was before the forward
+        monkeypatch.setattr(ag, "_LANES", 2)
+        x, w, b = conv_inputs(np.random.default_rng(0), x_shape, w_shape, np.float32)
+        g = np.ones((x_shape[0], w_shape[0]) + x_shape[2:], np.float32)
+        ag.conv2d(x, w, b, 1, 1)._backward(g)  # starts the lanes before tracing
+        assert takes_taps(x_shape, w_shape, 1, 1) == (x_shape[1] == 32)
+        differentiated, release = threading.Event(), threading.Event()
+        held = {}
 
-        thread = threading.Thread(target=forward_only)
-        thread.start()
+        def differentiate():
+            ag.conv2d(x, w, b, 1, 1)._backward(g)
+            differentiated.set()
+            release.wait(timeout=60)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ag.conv2d(x, w, b, 1, 1)._backward(g)
+            held["caller"] = tracemalloc.get_traced_memory()[0] - base
+            thread = threading.Thread(target=differentiate)
+            thread.start()
+            assert differentiated.wait(timeout=60)
+            held["thread"] = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            release.set()
+            tracemalloc.stop()
         thread.join(timeout=60)
         assert not thread.is_alive()
-        assert seen == {"forward": None, "backward": 2 * 64 * 27 * 4}
+        # a tap's rows alone are 1 MiB; thread bookkeeping stays far below that
+        assert max(held.values()) < 64 * 1024, held
+
+    def test_tap_backward_allocates_no_column_matrix(self, monkeypatch):
+        # on 2 lanes, with the output gradient laid out as backward gives it
+        # (NHWC): the padded input, which becomes the padded dx, and a tap's
+        # rows per lane, about a third of the 9 MiB column matrix that
+        # im2col builds
+        monkeypatch.setattr(ag, "_LANES", 2)
+        x_shape, w_shape = (8, 32, 32, 32), (32, 32, 3, 3)
+        column_bytes = 8 * 32 * 32 * 32 * 9 * 4
+        x, w, b = conv_inputs(np.random.default_rng(1), x_shape, w_shape, np.float32)
+        out = ag.conv2d(x, w, b, 1, 1)
+        g = np.zeros_like(out.data)
+        g[...] = np.random.default_rng(2).normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            taps_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            im2col_conv2d(x, w, b, 1, 1)._backward(g)
+            im2col_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert im2col_peak > column_bytes  # the tracing sees a column matrix where one is built
+        assert taps_peak < column_bytes / 2
 
     def test_two_threads_match_one(self, monkeypatch):
         monkeypatch.setattr(ag, "_LANES", max(3, ag._LANES))  # both callers split their batches
@@ -891,25 +1067,6 @@ class TestColumnBuffer:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert together == alone
-
-    def test_float64_after_larger_float32_reuses_the_buffer(self):
-        done = {}
-
-        def in_fresh_thread():
-            rng = np.random.default_rng(3)
-            x, w, b = conv_inputs(rng, (4, 6, 16, 16), (8, 6, 3, 3), np.float32)
-            assert_conv_matches_reference(x, w, b, 1, 1, rng)
-            buf = ag._COLUMNS.buf
-            x, w, b = conv_inputs(rng, (3, 5, 11, 9), (4, 5, 3, 3), np.float64)
-            assert 3 * 99 * 45 * 8 < buf.nbytes == 4 * 256 * 54 * 4
-            assert_conv_matches_reference(x, w, b, 1, 1, rng)
-            done["same buffer"] = ag._COLUMNS.buf is buf
-
-        thread = threading.Thread(target=in_fresh_thread)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert done == {"same buffer": True}
 
 
 def old_way_backward(tensors) -> dict:

@@ -368,6 +368,14 @@ def first_entry_dims(dims):
     return edit
 
 
+def entry_dims(name, dims):
+    """Give the named entry these dims, keeping its dtype tag and data."""
+    def edit(raw):
+        at = raw.index(name.encode()) + len(name)
+        return raw[:at] + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + raw[at + 1 + 8 * raw[at]:]
+    return edit
+
+
 def nan_count(name):
     def edit(raw):
         at = raw.index(name.encode()) + len(name) + 2  # rank 0, then the f64 dtype tag
@@ -474,33 +482,37 @@ class TestEvalCommand:
 
 
 class TestResumeErrors:
-    # a malformed runtime entry is found with the checkpoint's task and arch, before out_dir is made;
-    # a parameter or Adam entry only once the optimizers exist, after the config echo
-    @pytest.mark.parametrize("edit, before_out_dir", [
-        (in_blob(drop_key("runtime")), True),
-        (in_blob(set_config(("runtime",), [])), True),
-        (in_blob(set_config(("runtime", "epoch"), None)), True),
-        (in_blob(set_config(("runtime", "epoch"), "x")), True),
-        (in_blob(set_config(("runtime", "rng_state"), None)), True),
-        (in_blob(set_config(("runtime", "rng_state"), {"bit_generator": "MT19937"})), True),
-        (in_blob(set_config(("runtime", "history"), 3)), True),
-        (in_blob(set_config(("runtime", "history"), [["1", "train"]])), True),
-        (in_blob(set_config(("runtime", "best_val_mae"), None)), True),
-        (in_blob(set_config(("runtime", "best_val_mae"), "x")), True),
-        (rename_entry("adam.generator.step", "adam.generator.stXp"), False),
-        (nan_count("adam.discriminator.skipped"), False),
+    # a malformed runtime, parameter or Adam entry is found with the checkpoint's task and arch,
+    # before out_dir is made
+    @pytest.mark.parametrize("edit", [
+        in_blob(drop_key("runtime")),
+        in_blob(set_config(("runtime",), [])),
+        in_blob(set_config(("runtime", "epoch"), None)),
+        in_blob(set_config(("runtime", "epoch"), "x")),
+        in_blob(set_config(("runtime", "rng_state"), None)),
+        in_blob(set_config(("runtime", "rng_state"), {"bit_generator": "MT19937"})),
+        in_blob(set_config(("runtime", "history"), 3)),
+        in_blob(set_config(("runtime", "history"), [["1", "train"]])),
+        in_blob(set_config(("runtime", "best_val_mae"), None)),
+        in_blob(set_config(("runtime", "best_val_mae"), "x")),
+        rename_entry("adam.generator.step", "adam.generator.stXp"),
+        nan_count("adam.discriminator.skipped"),
+        rename_entry("discriminator.head.bias", "discriminator.head.biXs"),
+        first_entry_dims((8, 9)),
+        rename_entry("adam.generator.m.stem.weight", "adam.generator.m.stem.weiXht"),
+        entry_dims("adam.discriminator.v.head.weight", (640, 1)),
     ], ids=["no_runtime", "runtime_not_object", "no_epoch", "epoch_not_int", "no_rng_state",
             "foreign_rng_state", "history_not_list", "short_history_row", "no_best_val_mae",
-            "best_val_mae_not_number", "no_adam_step", "nan_adam_skipped"])
-    def test_malformed_resume_exit_code(self, trained, small_dataset, tmp_path, edit, before_out_dir):
+            "best_val_mae_not_number", "no_adam_step", "nan_adam_skipped", "no_parameter",
+            "misshapen_parameter", "no_adam_moment", "misshapen_adam_moment"])
+    def test_malformed_resume_exit_code(self, trained, small_dataset, tmp_path, edit):
         path = tmp_path / "malformed.qckp"
         path.write_bytes(edit(trained.read_bytes()))
         config = tmp_path / "resume.json"
         config.write_text(json.dumps(train_config(small_dataset, tmp_path / "out", epochs=2)))
         code = run_cli(["train", "--config", str(config), "--workers", "1", "--resume", str(path)])
         assert code == cli.EXIT_MISMATCH
-        if before_out_dir:
-            assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_of_another_task(self, trained, tmp_path):
         # `trained` learned interpolation_random; the same arch fits this denoise dataset

@@ -472,34 +472,34 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
 
     Conv keeps no column matrix from forward to backward: every array that
     owns columns `_im2col` built outside backward must be dead (without a gc
-    pass) when backward starts, and backward must rebuild the columns of
-    each conv in the graph, a chunk of items per `_im2col` call, in the
-    column buffer of the thread that runs backward, the chunks covering the
-    conv's column matrix exactly once. Once backward returns, no node of the
+    pass) when backward starts. Backward must take each conv that `_by_taps`
+    picks one kernel tap at a time, with no `_im2col` call, and rebuild the
+    columns of every other conv, a chunk of items per `_im2col` call, in an
+    array of that conv's own, the chunks covering it exactly once; none of
+    those arrays may outlive backward. Once backward returns, no node of the
     graph may still hold a gradient or a rule (with the arrays it saved).
     Returns the number of convs differentiated per backward call.
     """
-    made, rebuilt, checked, buffers = [], [], [], []
-    im2col, column_buffer, backward = ag._im2col, ag._column_buffer, ag.backward
+    made, rebuilt, tap_calls, checked = [], [], [], []
+    im2col, tap_backward, backward = ag._im2col, ag._tap_backward, ag.backward
     in_backward = threading.Event()
 
     def span(a):
         return a.__array_interface__["data"][0], a.nbytes
 
-    def recording_column_buffer(size, dtype):
-        buf = column_buffer(size, dtype)
-        assert np.shares_memory(buf, ag._COLUMNS.buf)  # the calling thread's buffer
-        buffers.append(buf)
-        return buf
-
     def recording_im2col(*args):
         cols = im2col(*args)
-        if in_backward.is_set():
-            assert np.shares_memory(cols, buffers[-1])
-            rebuilt.append((len(buffers) - 1, span(cols)))
-        else:
+        if not in_backward.is_set():
             made.append(weakref.ref(cols.base))
+        elif rebuilt and rebuilt[-1][0]() is cols.base:
+            rebuilt[-1][1].append(span(cols))
+        else:  # the first chunk of the next conv
+            rebuilt.append((weakref.ref(cols.base), [span(cols)], span(cols.base)))
         return cols
+
+    def counting_tap_backward(*args):
+        tap_calls.append(args[0].shape)
+        return tap_backward(*args)
 
     def checking_backward(root):
         nodes, stack, seen = [], [root._node], {root._node}
@@ -511,7 +511,9 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
                 if parent not in seen:
                     seen.add(parent)
                     stack.append(parent)
-        convs = [node.shape[0] for node in nodes if node.rule.__qualname__ == "conv2d.<locals>.bwd"]
+        convs = [node for node in nodes if node.rule.__qualname__ == "conv2d.<locals>.bwd"]
+        by_taps = [ag._by_taps(b, node.parents[0].shape[1], cout, ho * wo)
+                   for node in convs for b, cout, ho, wo in [node.shape]]
         assert [ref() is None for ref in made] == [True] * len(made)
         made.clear()
         in_backward.set()
@@ -519,20 +521,22 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
             backward(root)
         finally:
             in_backward.clear()
-        assert len(buffers) == len(convs)
-        for i, buf in enumerate(buffers):
-            chunks = sorted(s for k, s in rebuilt if k == i)
+        assert len(tap_calls) == sum(by_taps)
+        assert len(rebuilt) == len(convs) - sum(by_taps)
+        for owner, chunks, (start, nbytes) in rebuilt:
+            chunks.sort()
             assert all(s0 + n0 == s1 for (s0, n0), (s1, _) in zip(chunks, chunks[1:]))
-            assert (chunks[0][0], sum(n for _, n in chunks)) == span(buf)
+            assert (chunks[0][0], sum(n for _, n in chunks)) == (start, nbytes)
+            assert owner() is None
         rebuilt.clear()
-        buffers.clear()
+        tap_calls.clear()
         assert [node.grad is None for node in nodes] == [True] * len(nodes)
         assert [node.rule is ag._spent for node in nodes] == [True] * len(nodes)
         checked.append(len(convs))
 
     monkeypatch.setattr(ag, "_LANES", 2)
     monkeypatch.setattr(ag, "_im2col", recording_im2col)
-    monkeypatch.setattr(ag, "_column_buffer", recording_column_buffer)
+    monkeypatch.setattr(ag, "_tap_backward", counting_tap_backward)
     monkeypatch.setattr(ag, "backward", checking_backward)
     train_fn(None)
     return checked
