@@ -15,10 +15,15 @@ uses more than one core: it splits each batch into contiguous runs of
 items, one per CPU the process may use, and runs them on the worker
 threads (lanes) of a standard thread pool that starts with the first
 call that splits. Each item's im2col, GEMM and col2im are the calls they
-would be on one lane, and the only sums across items (dw, db) are
-whole-batch calls that no lane splits, so the lane count never changes a
-bit either. The quantum layer runs its fixed window chunks on the same lanes
-(see qlayer); no other op uses them.
+would be on one lane. The quantum layer runs its fixed window chunks on the
+same lanes (see qlayer). Batch norm, PReLU, max-pool and the upsample
+backward run their elementwise and per-item passes there too, in chunks of
+whole items (_on_items), writing into full-size arrays the calling thread
+allocates. In every op only whole-batch reductions span items (conv's dw
+and db; batch norm's mean, variance and the sums behind dγ, dβ and dx;
+PReLU's dα): each is one call in the calling thread over an array with
+the values and memory order it has on one lane, so the lane count never
+changes a bit either.
 The graph is made of small nodes, one per recorded tensor, that hold no
 output data: only what each rule saves is kept, so an activation no rule
 reads is freed during the forward pass as soon as Python drops it. The
@@ -407,9 +412,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_pool)
 
 
-def _runs(b: int) -> list:
-    """Contiguous (n, m) runs of b items, one per lane, as even as possible."""
-    k = max(1, min(_LANES, b))
+def _runs(b: int, most: int | None = None) -> list:
+    """Contiguous (n, m) runs of b items, one per lane (at most `most` of
+    them), as even as possible."""
+    k = max(1, min(_LANES, b, most or b))
     return [(i * b // k, (i + 1) * b // k) for i in range(k)]
 
 
@@ -449,6 +455,30 @@ def _on_lanes(fn, calls) -> None:
         lane.result()
 
 
+def _on_items(fn, b: int, item_bytes: int) -> None:
+    """fn(k, j) for chunks k..j of whole items that cover a batch of b items
+    once, each chunk about _BLOCK_BYTES of item_bytes-sized items (at least
+    one item): a run of chunks per lane (_runs), or all of it in one call on
+    the calling thread when the batch fits in one block, where a lane
+    dispatch would cost more than it saves."""
+    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
+    if step >= b:
+        fn(0, b)
+        return
+
+    def run(n, m):
+        for k in range(n, m, step):
+            fn(k, min(m, k + step))
+
+    _on_lanes(run, _runs(b))
+
+
+# The most lanes conv backward spreads its kernel taps over. Each keeps one
+# tap's rows of the padded input, so this bounds the scratch whatever the CPU
+# count; three lanes take the nine taps of a 3x3 kernel in even runs.
+_TAP_LANES = 3
+
+
 def _by_taps(b: int, cin: int, cout: int, positions: int) -> bool:
     """Whether conv backward takes the per-tap rule (_tap_backward) for these
     sizes: it gives im2col's bits exactly where this holds.
@@ -472,17 +502,17 @@ def _tap_backward(xd, wd, gmat, ho: int, wo: int, stride: int, padding: int, run
 
     dw[:, :, i, j] is the GEMM of the output gradient with the tap's rows of
     the padded input, the rows im2col gives that tap in the same order; the
-    taps run over the lanes, each as one whole-batch GEMM. dx adds, per run
-    of items on its lane, each tap's product with W[:, :, i, j] into the
-    tap's shifted window of the padded gradient, taps in (i, j) order from
-    zero as _col2im sums them. gmat is the [B, Ho·Wo, Cout] output gradient.
+    taps run over at most _TAP_LANES lanes, each as one whole-batch GEMM. dx
+    adds, per run of items on its lane, each tap's product with W[:, :, i, j]
+    into the tap's shifted window of the padded gradient, taps in (i, j)
+    order from zero as _col2im sums them. gmat is the [B, Ho·Wo, Cout] output gradient.
     """
     b, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
     p = padding
     hend, wend = (ho - 1) * stride + 1, (wo - 1) * stride + 1
     taps = [(i, j) for i in range(kh) for j in range(kw)]
-    tap_runs = _runs(len(taps))
+    tap_runs = _runs(len(taps), _TAP_LANES)
     # every array the lanes write is allocated here in the calling thread:
     # one a worker lane allocated would come from its own malloc arena
     xn = np.zeros((b, h + 2 * p, w + 2 * p, cin), dtype=xd.dtype)
@@ -629,7 +659,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     """Per-channel leaky rectifier on [B, C, H, W]; slope alpha where x < 0.
 
-    The derivative at x == 0 is taken as alpha.
+    The derivative at x == 0 is taken as alpha. The select, dx and the
+    g·x·(x < 0) products run on the lanes in chunks of whole items
+    (_on_items); dα is one whole-batch sum over those products.
     """
     _same_dtype(x, alpha)
     if x.ndim != 4:
@@ -638,12 +670,29 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
         raise ShapeError(f"alpha shape {alpha.shape} does not match {x.shape[1]} channels")
     a = alpha.data[None, :, None, None]
     xd = x.data
-    out = np.where(xd >= 0, xd, a * xd)
+    b, item = xd.shape[0], xd[:1].nbytes
+    out = np.empty_like(xd)
+
+    def select(k, j):
+        np.multiply(a, xd[k:j], out=out[k:j])
+        out[k:j] = np.where(xd[k:j] >= 0, xd[k:j], out[k:j])
+
+    _on_items(select, b, item)
+    one = xd.dtype.type(1)
 
     def bwd(g):
-        dx = g * np.where(xd > 0, xd.dtype.type(1), a)
-        da = (g * xd * (xd < 0)).sum(axis=(0, 2, 3))
-        return dx, da
+        dx = np.empty_like(g)
+        neg = np.empty_like(g)
+
+        def chunk(k, j):
+            gk, xk = g[k:j], xd[k:j]
+            np.less(xk, 0, out=dx[k:j])  # x < 0 as 1 or 0, in dx until dx is made
+            np.multiply(gk, xk, out=neg[k:j])
+            np.multiply(neg[k:j], dx[k:j], out=neg[k:j])
+            np.multiply(gk, np.where(xk > 0, one, a), out=dx[k:j])
+
+        _on_items(chunk, b, item)
+        return dx, neg.sum(axis=(0, 2, 3))
 
     return _result(out, (x, alpha), bwd)
 
@@ -677,7 +726,12 @@ def batchnorm2d(
     """Per-channel batch normalization on [B, C, H, W].
 
     Training mode normalizes by batch statistics and folds them into the
-    running buffers in place; eval mode reads the buffers.
+    running buffers in place; eval mode reads the buffers. Every
+    elementwise pass (x − μ and its square, x̂ and γ·x̂ + β; g·x̂, g·γ,
+    dx̂·x̂ and dx) runs on the lanes in chunks of whole items (_on_items),
+    into full-size arrays allocated here. The sums across items (μ, the
+    variance, dβ, dγ and the two in dx) are whole-batch calls over those
+    arrays, so neither the lane count nor the chunking changes a bit.
     """
     _same_dtype(x, gamma, beta)
     if x.ndim != 4:
@@ -685,12 +739,23 @@ def batchnorm2d(
     b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError("batchnorm2d gamma/beta must be per-channel vectors")
+    if training and b < 2:
+        raise DegenerateBatchError("batchnorm2d needs batch size >= 2 in training mode")
     xd = x.data
+    item = xd[:1].nbytes
+    xhat = np.empty_like(xd)  # x − μ, then x̂
+    out = np.empty_like(xd)  # (x − μ)², then γ·x̂ + β
     if training:
-        if b < 2:
-            raise DegenerateBatchError("batchnorm2d needs batch size >= 2 in training mode")
         mu = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
+
+        def centre(k, j):
+            np.subtract(xd[k:j], mu[None, :, None, None], out=xhat[k:j])
+            np.multiply(xhat[k:j], xhat[k:j], out=out[k:j])
+
+        _on_items(centre, b, item)
+        # the rest of np.var (numpy._core._methods._var), on the mean just taken
+        var = out.sum(axis=(0, 2, 3))
+        np.true_divide(var, np.intp(b * h * w), out=var, casting="unsafe")
         running_mean *= 1.0 - _BN_MOMENTUM
         running_mean += _BN_MOMENTUM * mu.astype(running_mean.dtype)
         running_var *= 1.0 - _BN_MOMENTUM
@@ -700,20 +765,47 @@ def batchnorm2d(
         var = running_var.astype(xd.dtype)
 
     inv = 1.0 / np.sqrt(var + xd.dtype.type(_BN_EPS))
-    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    inv4 = inv[None, :, None, None]
+
+    def affine(k, j):
+        if not training:
+            np.subtract(xd[k:j], mu[None, :, None, None], out=xhat[k:j])
+        np.multiply(xhat[k:j], inv4, out=xhat[k:j])
+        np.multiply(gamma.data[None, :, None, None], xhat[k:j], out=out[k:j])
+        np.add(out[k:j], beta.data[None, :, None, None], out=out[k:j])
+
+    _on_items(affine, b, item)
 
     def bwd(g):
         dbeta = g.sum(axis=(0, 2, 3))
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dxhat = g * gamma.data[None, :, None, None]
+        prod = np.empty_like(g)  # g·x̂, then dx̂·x̂, then scratch
+        dx = np.empty_like(g)  # dx̂, then dx
+        gamma4 = gamma.data[None, :, None, None]
+
+        def products(k, j):
+            np.multiply(g[k:j], xhat[k:j], out=prod[k:j])
+            np.multiply(g[k:j], gamma4, out=dx[k:j])
+            if not training:
+                np.multiply(dx[k:j], inv4, out=dx[k:j])
+
+        _on_items(products, b, item)
+        dgamma = prod.sum(axis=(0, 2, 3))
         if training:
             m = b * h * w
-            sum_dxhat = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-            sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-            dx = (inv[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-        else:
-            dx = dxhat * inv[None, :, None, None]
+            _on_items(lambda k, j: np.multiply(dx[k:j], xhat[k:j], out=prod[k:j]), b, item)
+            sum_dxhat = dx.sum(axis=(0, 2, 3))[None, :, None, None]
+            sum_dxhat_xhat = prod.sum(axis=(0, 2, 3))[None, :, None, None]
+            scale = inv4 / m
+
+            def finish(k, j):  # (inv / m)·(m·dx̂ − Σdx̂ − x̂·Σdx̂x̂)
+                d = dx[k:j]
+                np.multiply(m, d, out=d)
+                np.subtract(d, sum_dxhat, out=d)
+                np.multiply(xhat[k:j], sum_dxhat_xhat, out=prod[k:j])
+                np.subtract(d, prod[k:j], out=d)
+                np.multiply(scale, d, out=d)
+
+            _on_items(finish, b, item)
         return dx, dgamma, dbeta
 
     return _result(out, (x, gamma, beta), bwd)
@@ -917,20 +1009,39 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
 
 
 def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
-    """Non-overlapping k x k max pooling; gradient routes to the first argmax."""
+    """Non-overlapping k x k max pooling; gradient routes to the first argmax.
+
+    The window argmax and gather, and the backward scatter, run on the
+    lanes in chunks of whole items (_on_items).
+    """
     b, c, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"maxpool2d needs spatial dims divisible by {k}, got {h}x{w}")
     ho, wo = h // k, w // k
-    windows = x.data.reshape(b, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, k * k)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    xd = x.data
+    item = xd[:1].nbytes
+    idx = np.empty((b, c, ho, wo), dtype=np.intp)
+    out = np.empty((b, c, ho, wo), dtype=xd.dtype)
+
+    def pool(i, j):
+        n = j - i
+        windows = xd[i:j].reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
+        np.argmax(windows, axis=-1, out=idx[i:j])
+        out[i:j] = np.take_along_axis(windows, idx[i:j, ..., None], axis=-1)[..., 0]
+
+    _on_items(pool, b, item)
 
     def bwd(g):
-        dwin = np.zeros((b, c, ho, wo, k * k), dtype=g.dtype)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dx = dwin.reshape(b, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
-        return (np.ascontiguousarray(dx),)
+        dx = np.empty((b, c, h, w), dtype=g.dtype)
+
+        def scatter(i, j):
+            n = j - i
+            dwin = np.zeros((n, c, ho, wo, k * k), dtype=g.dtype)
+            np.put_along_axis(dwin, idx[i:j, ..., None], g[i:j, ..., None], axis=-1)
+            dx[i:j].reshape(n, c, ho, k, wo, k)[...] = dwin.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5)
+
+        _on_items(scatter, b, item)
+        return (dx,)
 
     return _result(out, (x,), bwd)
 
@@ -954,7 +1065,8 @@ def avgpool2d(x: Tensor, k: int = 2) -> Tensor:
 def nearest_upsample(x: Tensor, factors: tuple[int, int]) -> Tensor:
     """Repeat each element factors[0] times along H and factors[1] along W.
 
-    The adjoint sums each factor-sized block back to its source element.
+    The adjoint sums each factor-sized block back to its source element, on
+    the lanes in chunks of whole items (_on_items).
     """
     fh, fw = factors
     if fh < 1 or fw < 1:
@@ -967,7 +1079,9 @@ def nearest_upsample(x: Tensor, factors: tuple[int, int]) -> Tensor:
         out = np.repeat(out, fw, axis=3)
 
     def bwd(g):
-        dx = g.reshape(b, c, h, fh, w, fw).sum(axis=(3, 5))
+        dx = np.empty_like(g[:, :, ::fh, ::fw])  # laid out as the sum would allocate it
+        _on_items(lambda i, j: g[i:j].reshape(j - i, c, h, fh, w, fw).sum(axis=(3, 5), out=dx[i:j]),
+                  b, g[:1].nbytes)
         return (dx,)
 
     return _result(out, (x,), bwd)

@@ -604,6 +604,255 @@ class TestQuantumLanes:
         assert_same_bits(out, qlayer.quantum_forward(x, circuits, cfg))
 
 
+def whole_prelu(x, alpha):
+    """prelu as it was before its passes ran on the lanes: whole-batch
+    expressions, verbatim."""
+    ag._same_dtype(x, alpha)
+    if x.ndim != 4:
+        raise ag.ShapeError("prelu expects a 4-d input")
+    if alpha.shape != (x.shape[1],):
+        raise ag.ShapeError(f"alpha shape {alpha.shape} does not match {x.shape[1]} channels")
+    a = alpha.data[None, :, None, None]
+    xd = x.data
+    out = np.where(xd >= 0, xd, a * xd)
+
+    def bwd(g):
+        dx = g * np.where(xd > 0, xd.dtype.type(1), a)
+        da = (g * xd * (xd < 0)).sum(axis=(0, 2, 3))
+        return dx, da
+
+    return ag._result(out, (x, alpha), bwd)
+
+
+def whole_batchnorm2d(x, gamma, beta, running_mean, running_var, training):
+    """batchnorm2d as it was before its passes ran on the lanes, verbatim."""
+    ag._same_dtype(x, gamma, beta)
+    if x.ndim != 4:
+        raise ag.ShapeError("batchnorm2d expects a 4-d input")
+    b, c, h, w = x.shape
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ag.ShapeError("batchnorm2d gamma/beta must be per-channel vectors")
+    xd = x.data
+    if training:
+        if b < 2:
+            raise ag.DegenerateBatchError("batchnorm2d needs batch size >= 2 in training mode")
+        mu = xd.mean(axis=(0, 2, 3))
+        var = xd.var(axis=(0, 2, 3))
+        running_mean *= 1.0 - ag._BN_MOMENTUM
+        running_mean += ag._BN_MOMENTUM * mu.astype(running_mean.dtype)
+        running_var *= 1.0 - ag._BN_MOMENTUM
+        running_var += ag._BN_MOMENTUM * var.astype(running_var.dtype)
+    else:
+        mu = running_mean.astype(xd.dtype)
+        var = running_var.astype(xd.dtype)
+
+    inv = 1.0 / np.sqrt(var + xd.dtype.type(ag._BN_EPS))
+    xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+
+    def bwd(g):
+        dbeta = g.sum(axis=(0, 2, 3))
+        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        dxhat = g * gamma.data[None, :, None, None]
+        if training:
+            m = b * h * w
+            sum_dxhat = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
+            sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
+            dx = (inv[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        else:
+            dx = dxhat * inv[None, :, None, None]
+        return dx, dgamma, dbeta
+
+    return ag._result(out, (x, gamma, beta), bwd)
+
+
+def whole_maxpool2d(x, k=2):
+    """maxpool2d as it was before its passes ran on the lanes, verbatim."""
+    b, c, h, w = x.shape
+    if h % k or w % k:
+        raise ag.ShapeError(f"maxpool2d needs spatial dims divisible by {k}, got {h}x{w}")
+    ho, wo = h // k, w // k
+    windows = x.data.reshape(b, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, k * k)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+
+    def bwd(g):
+        dwin = np.zeros((b, c, ho, wo, k * k), dtype=g.dtype)
+        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+        dx = dwin.reshape(b, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w)
+        return (np.ascontiguousarray(dx),)
+
+    return ag._result(out, (x,), bwd)
+
+
+def whole_nearest_upsample(x, factors):
+    """nearest_upsample as it was before its backward ran on the lanes, verbatim."""
+    fh, fw = factors
+    if fh < 1 or fw < 1:
+        raise ag.ShapeError("upsample factors must be >= 1")
+    b, c, h, w = x.shape
+    out = x.data
+    if fh > 1:
+        out = np.repeat(out, fh, axis=2)
+    if fw > 1:
+        out = np.repeat(out, fw, axis=3)
+
+    def bwd(g):
+        dx = g.reshape(b, c, h, fh, w, fw).sum(axis=(3, 5))
+        return (dx,)
+
+    return ag._result(out, (x,), bwd)
+
+
+# each op that runs its per-item passes on the lanes, and its whole-batch copy
+WHOLE_OPS = {"batchnorm2d": whole_batchnorm2d, "prelu": whole_prelu, "maxpool2d": whole_maxpool2d,
+             "nearest_upsample": whole_nearest_upsample}
+ITEM_OPS = tuple(WHOLE_OPS)
+
+
+def default_item_op_shapes() -> dict:
+    """For each of ITEM_OPS, the (per-item input shape, upsample factors or
+    None) pairs it sees in the default models, and whether every input was
+    C-ordered."""
+    seen = {name: [] for name in ITEM_OPS}
+    layouts = set()
+    originals = {name: getattr(ag, name) for name in ITEM_OPS}
+
+    def recording(name):
+        def op(x, *args, **kwargs):
+            key = (x.shape[1:], args[0] if name == "nearest_upsample" else None)
+            if key not in seen[name]:
+                seen[name].append(key)
+            layouts.add(x.data.flags.c_contiguous)
+            return originals[name](x, *args, **kwargs)
+
+        return op
+
+    try:
+        for name in ITEM_OPS:
+            setattr(ag, name, recording(name))
+        x = ag.Tensor(np.zeros((2, 1, 64, 64), dtype=np.float32))
+        with ag.no_grad():
+            for model in (mdl.Generator(mdl.GeneratorConfig()),
+                          mdl.Discriminator(mdl.DiscriminatorConfig()),
+                          mdl.UNet(mdl.UNetConfig())):
+                model(x)
+    finally:
+        for name, op in originals.items():
+            setattr(ag, name, op)
+    return seen, layouts
+
+
+def item_op_run(op, x, params, g, whole=False):
+    """Output, gradients and running buffers of one forward and backward of
+    `op` (batch norm as batchnorm2d_train or batchnorm2d_eval), by the ag op
+    or, if `whole`, by its whole-batch copy, as arrays."""
+    name = op.removesuffix("_train").removesuffix("_eval")
+    fn = WHOLE_OPS[name] if whole else getattr(ag, name)
+    buffers = []
+    if name == "batchnorm2d":
+        c = x.shape[1]
+        buffers = [np.linspace(-0.2, 0.3, c).astype(np.float32), np.linspace(0.5, 1.5, c).astype(np.float32)]
+        out = fn(x, *params, *buffers, training=op == "batchnorm2d_train")
+    else:
+        out = fn(x, *params)
+    grad = np.zeros_like(out.data)  # laid out as backward lays out the output's gradient
+    grad[...] = g[tuple(slice(n) for n in grad.shape)]
+    return [out.data, *out._backward(grad), *buffers]
+
+
+class TestItemOpsOnLanes:
+    """batchnorm2d, prelu, maxpool2d and nearest_upsample run their per-item
+    passes on the lanes in chunks of whole items. At every shape the
+    default models give them, at batches 1, 3 and 16, in C order and
+    NHWC-strided, with -0.0 and NaN in the output gradient, the output,
+    every gradient and the running buffers equal the whole-batch copies'
+    in values and strides, at 1, 2, 3 and 17 lanes; at batches 1 and 3 also
+    with chunks of one item."""
+
+    SHAPES, LAYOUTS = default_item_op_shapes()
+
+    def test_shapes_cover_the_models(self):
+        assert [len(self.SHAPES[name]) for name in ITEM_OPS] == [8, 9, 3, 3]
+        assert self.LAYOUTS == {False}  # every input is a conv, batch norm or PReLU output, NHWC-strided
+        assert {f for _, f in self.SHAPES["nearest_upsample"]} == {(2, 2)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["batchnorm2d_train", "batchnorm2d_eval", "prelu", "maxpool2d",
+                                    "nearest_upsample"])
+    def test_lane_count_and_chunks_change_nothing(self, monkeypatch, op, dtype):
+        block = ag._BLOCK_BYTES
+        for item_shape, factors in self.SHAPES[op.removesuffix("_train").removesuffix("_eval")]:
+            c = item_shape[0]
+            for batch in (1, 3, 16) if dtype == np.float32 else (1, 3):
+                if op == "batchnorm2d_train" and batch == 1:
+                    continue  # rejected, as TestBatchNorm checks
+                rng = np.random.default_rng(sum(item_shape) + batch)
+                data = rng.normal(size=(batch,) + item_shape).astype(dtype)
+                data.reshape(-1)[::11] = -0.0
+                data.reshape(-1)[5::13] = 0.0
+                g = rng.normal(size=(batch, c, 2 * item_shape[1], 2 * item_shape[2])).astype(dtype)
+                g.reshape(-1)[::7] = -0.0
+                g.reshape(-1)[3::2999] = np.nan
+                if op == "nearest_upsample":
+                    params = [factors]
+                elif op == "prelu":
+                    params = [ag.Tensor((rng.normal(size=c) * 0.3).astype(dtype), requires_grad=True)]
+                elif op.startswith("batchnorm2d"):
+                    params = [ag.Tensor((1 + rng.normal(size=c) * 0.1).astype(dtype), requires_grad=True),
+                              ag.Tensor((rng.normal(size=c) * 0.1).astype(dtype), requires_grad=True)]
+                else:
+                    params = []
+                for layout in ("c", "nhwc"):
+                    x = data if layout == "c" else data.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+                    x = ag.Tensor(x, requires_grad=True)
+                    ref = item_op_run(op, x, params, g, whole=True)
+                    for lanes, block_bytes in itertools.product(
+                            (1, 2, 3, 17), (block, 1) if batch < 16 else (block,)):
+                        monkeypatch.setattr(ag, "_LANES", lanes)
+                        monkeypatch.setattr(ag, "_BLOCK_BYTES", block_bytes)  # 1: a chunk per item
+                        for new, old in zip(item_op_run(op, x, params, g), ref, strict=True):
+                            assert new.strides == old.strides, (op, item_shape, batch, layout, lanes)
+                            assert_same_bits(new, old)
+
+    @pytest.mark.parametrize("factors", [(1, 1), (1, 2), (3, 1), (2, 4)])
+    def test_upsample_gradient_at_other_factors(self, monkeypatch, factors):
+        # at (1, 1) the output is the input itself, so the gradient and the
+        # sum keep an NHWC input's layout
+        monkeypatch.setattr(ag, "_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(9)
+        data = rng.normal(size=(5, 6, 4, 3)).astype(np.float32)
+        g = rng.normal(size=(5, 6, 12, 12)).astype(np.float32)
+        g.reshape(-1)[::5] = -0.0
+        for layout in ("c", "nhwc"):
+            x = data if layout == "c" else data.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+            x = ag.Tensor(x, requires_grad=True)
+            ref = item_op_run("nearest_upsample", x, [factors], g, whole=True)
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(ag, "_LANES", lanes)
+                for new, old in zip(item_op_run("nearest_upsample", x, [factors], g), ref, strict=True):
+                    assert new.strides == old.strides, (factors, layout, lanes)
+                    assert_same_bits(new, old)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["c", "nhwc"])
+    def test_training_variance_is_np_var(self, monkeypatch, dtype, layout):
+        # with momentum 1 the running variance becomes the batch variance
+        # itself, which batchnorm2d takes from the mean it has just taken
+        monkeypatch.setattr(ag, "_BN_MOMENTUM", 1.0)
+        rng = np.random.default_rng(8)
+        for shape in ((16, 32, 64, 64), (3, 24, 4, 4), (2, 5, 7, 3)):
+            x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+            if layout == "nhwc":
+                x = x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+            c = shape[1]
+            running_mean, running_var = np.zeros(c, dtype), np.zeros(c, dtype)
+            ag.batchnorm2d(ag.Tensor(x), ag.Tensor(np.ones(c, dtype)), ag.Tensor(np.zeros(c, dtype)),
+                           running_mean, running_var, training=True)
+            assert_same_bits(running_mean, x.mean(axis=(0, 2, 3)))
+            assert_same_bits(running_var, np.var(x, axis=(0, 2, 3)))
+
+
 class TestPrelu:
     def test_positive_passthrough(self):
         x = t32(np.full((1, 1, 1, 1), 2.0))
@@ -961,9 +1210,14 @@ class TestConvScratch:
                      ((5, 20, 19, 17), (6, 20, 3, 3), 3, 0), ((4, 16, 32, 32), (16, 16, 3, 3), 1, 1)],
     }
 
-    @staticmethod
-    def run(dtype, cases, rounds, barrier=None):
-        """Bytes of every forward output and gradient, round after round."""
+    # a conv unit (conv -> batch norm -> PReLU) per dtype, whose batch norm
+    # and PReLU tensors are over 1 MiB, so that they split over the lanes too
+    UNITS = {np.float32: ((8, 16, 32, 32), (48, 16, 3, 3)), np.float64: ((6, 16, 32, 32), (24, 16, 3, 3))}
+
+    @classmethod
+    def run(cls, dtype, cases, rounds, barrier=None):
+        """Bytes of every forward output and gradient, round after round,
+        and of the conv unit's output, leaf gradients and running buffers."""
         results = []
         for r in range(rounds):
             for i, (x_shape, w_shape, stride, padding) in enumerate(cases):
@@ -974,6 +1228,19 @@ class TestConvScratch:
                 if barrier is not None:
                     barrier.wait()
                 results.append([bits(a).tobytes() for a in (out.data, *out._backward(g))])
+            rng = np.random.default_rng(100 * r + len(cases))
+            x_shape, w_shape = cls.UNITS[dtype]
+            x, w, b = conv_inputs(rng, x_shape, w_shape, dtype)
+            c = w_shape[0]
+            gamma, beta, alpha = (ag.Tensor(rng.normal(size=c).astype(dtype), requires_grad=True) for _ in range(3))
+            buffers = np.zeros(c, dtype), np.ones(c, dtype)
+            weights = ag.Tensor(rng.normal(size=(x_shape[0], c) + x_shape[2:]).astype(dtype))
+            if barrier is not None:
+                barrier.wait()
+            out = ag.prelu(ag.batchnorm2d(ag.conv2d(x, w, b, 1, 1), gamma, beta, *buffers, training=True), alpha)
+            ag.backward(ag.tsum(ag.mul(out, weights)))
+            results.append([bits(a).tobytes() for a in (out.data, *(t.grad for t in (x, w, b, gamma, beta, alpha)),
+                                                          *buffers)])
         return results
 
     def test_cases_take_both_rules(self):
@@ -1039,6 +1306,28 @@ class TestConvScratch:
             tracemalloc.stop()
         assert im2col_peak > column_bytes  # the tracing sees a column matrix where one is built
         assert taps_peak < column_bytes / 2
+
+    def test_tap_scratch_stays_under_the_column_matrix_at_nine_lanes(self, monkeypatch):
+        # one tap's rows per lane at up to _TAP_LANES lanes, however many
+        # CPUs: at 9 lanes, one per tap, the scratch alone would be as large
+        # as the 9 MiB column matrix
+        monkeypatch.setattr(ag, "_LANES", 9)
+        x_shape, w_shape = (8, 32, 32, 32), (32, 32, 3, 3)
+        column_bytes = 8 * 32 * 32 * 32 * 9 * 4
+        x, w, b = conv_inputs(np.random.default_rng(3), x_shape, w_shape, np.float32)
+        out = ag.conv2d(x, w, b, 1, 1)
+        g = np.zeros_like(out.data)
+        g[...] = np.random.default_rng(4).normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            grads = out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ag._TAP_LANES == 3
+        assert peak < column_bytes * 2 / 3
+        for new, old in zip(grads, reference_conv2d(x, w, b, 1, 1)[1](g)):
+            assert_same_bits(new, old)
 
     def test_two_threads_match_one(self, monkeypatch):
         monkeypatch.setattr(ag, "_LANES", max(3, ag._LANES))  # both callers split their batches
