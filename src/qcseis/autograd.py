@@ -8,22 +8,25 @@ Network tensors are float32 by default, but every kernel also runs in
 float64 (used by tests and at the quantum-layer boundary). Reductions go
 through numpy's fixed pairwise order, so results are bit-identical across
 runs and worker counts. Convolution is im2col plus GEMM (Chellapilla, Puri
-& Simard 2006); its im2col/col2im copies run in cache-sized blocks, and
-col2im sums each input element's kernel taps in a fixed (i, j) order from
-zero whatever the blocking, so the blocking never changes a bit. Conv
-uses more than one core: it splits each batch into contiguous runs of
-items, one per CPU the process may use, and runs them on the worker
-threads (lanes) of a standard thread pool that starts with the first
-call that splits. Each item's im2col, GEMM and col2im are the calls they
-would be on one lane. The quantum layer runs its fixed window chunks on the
-same lanes (see qlayer). Batch norm, PReLU, max-pool and the upsample
-backward run their elementwise and per-item passes there too, in chunks of
-whole items (_on_items), writing into full-size arrays the calling thread
-allocates. In every op only whole-batch reductions span items (conv's dw
-and db; batch norm's mean, variance and the sums behind dγ, dβ and dx;
-PReLU's dα): each is one call in the calling thread over an array with
-the values and memory order it has on one lane, so the lane count never
-changes a bit either.
+& Simard 2006); col2im sums each input element's kernel taps in a fixed
+(i, j) order from zero. Ops use more than one core through the worker
+threads (lanes) of a standard thread pool that starts with the first call
+that splits; the calling thread is lane 0. Work is split three ways, each
+with the reason it is separate. _on_items is the one split of a batch: a
+contiguous run of chunks of whole items (about _BLOCK_BYTES each) per
+lane, or one call on the calling thread when the whole batch fits in one
+chunk. Every per-item pass goes through it: conv's forward and its
+backward's dx and column rebuild, and the elementwise and per-item passes
+of batch norm, PReLU, max-pool and the upsample backward, each writing
+into full-size arrays the calling thread allocates. Conv backward's dw
+(_tap_backward) splits kernel taps, not items, over at most _TAP_LANES
+lanes, because each tap's GEMM spans the whole batch. The quantum layer
+(qlayer._on_window_chunks) splits windows on a fixed grid from window 0,
+because an even split per lane would move GEMM tails. In every op only
+whole-batch reductions span items (conv's dw and db; batch norm's mean,
+variance and the sums behind dγ, dβ and dx; PReLU's dα): each is one call
+in the calling thread over an array with the values and memory order it
+has on one lane, so the lane count never changes a bit.
 The graph is made of small nodes, one per recorded tensor, that hold no
 output data: only what each rule saves is kept, so an activation no rule
 reads is freed during the forward pass as soon as Python drops it. The
@@ -32,19 +35,19 @@ backward pass consumes the graph it differentiates, as PyTorch does
 gradient and the rule, and with the rule the arrays it saved, so a second
 backward through the same graph raises. Conv's rule saves its input, not
 its column matrix (recomputed rather than stored, as in Chen et al. 2016).
-The forward builds columns a cache block's worth of whole batch items at a
-time, each lane in its padded scratch, and multiplies each chunk into the
-output. Backward takes one of two rules, chosen by the conv's sizes
-(_by_taps), each giving the bits of the full column matrix's GEMMs. Most
-convs of the default models go one kernel tap at a time with no column
-matrix (_tap_backward): dw from one whole-batch GEMM per tap over the tap's
-rows of the padded input, dx from each tap's product added into its
-shifted window. The rest, whose column matrices are small, rebuild their
-columns a chunk at a time into an array of the call, take dw from one GEMM
-over them and write the column gradient over them. No scratch array
-outlives the call. Each gradient keeps the memory order of its data (conv
-outputs are NHWC-strided), since the rules' reductions follow that order.
-Leaf gradients still accumulate across separate graphs.
+The forward builds columns a chunk of whole items at a time, each lane in
+its own padded scratch, and multiplies each chunk into the output. Backward
+takes one of two rules, chosen by the conv's sizes (_by_taps), each giving
+the bits of the full column matrix's GEMMs. Most convs of the default
+models go one kernel tap at a time with no column matrix (_tap_backward):
+dw from one whole-batch GEMM per tap over the tap's rows of the padded
+input, dx from each tap's product added into its shifted window. The rest,
+whose column matrices are small, rebuild their columns a chunk at a time
+into an array of the call, take dw from one GEMM over them and write the
+column gradient over them. No scratch array outlives the call. Each
+gradient keeps the memory order of its data (conv outputs are
+NHWC-strided), since the rules' reductions follow that order. Leaf
+gradients still accumulate across separate graphs.
 """
 from __future__ import annotations
 
@@ -324,46 +327,38 @@ def backward(root: Tensor) -> None:
 # convolution
 
 
-# Bytes of column matrix handled per block by _im2col/_col2im, and per
-# conv chunk. Each block is touched once per kernel tap, so it has to stay
-# in a per-core L2 cache together with its input rows, a further 1/(kh*kw) of
-# its size; then every cache line of the column matrix goes to memory once
-# rather than once per tap. 1 MiB fits the 4 MiB L2 per core of the 2-core
-# Xeon the package is benchmarked on (1.25-2 MiB on other current x86 cores)
-# and is large enough that the conv lanes scale: each block copy is a numpy
-# call that takes the GIL, and at 256 KiB the 64-channel 64x64 im2col makes
-# about 9k of them, so two lanes spend their time handing the GIL back and
-# forth. On that Xeon (batch 16, float32) that im2col took 68 ms on one lane
-# and 76 ms on two at 256 KiB, 63 ms and 36 ms at 1 MiB; its col2im 85 and
-# 101 ms, then 65 and 42 ms. The quantum layer sizes its window chunks by
-# it too (qlayer._on_window_chunks).
+# Bytes of one chunk of _on_items (for conv's forward and im2col backward, of
+# column matrix), and of column matrix per block of _im2col. Each block is
+# touched once per kernel tap, so it has to stay in a per-core L2 cache
+# together with its input rows, a further 1/(kh*kw) of its size; then every
+# cache line of the column matrix goes to memory once rather than once per
+# tap. 1 MiB fits the 4 MiB L2 per core of the 2-core Xeon the package is
+# benchmarked on (1.25-2 MiB on other current x86 cores) and is large enough
+# that the conv lanes scale: each block copy is a numpy call that takes the
+# GIL, and at 256 KiB the 64-channel 64x64 im2col makes about 9k of them, so
+# two lanes spend their time handing the GIL back and forth. On that Xeon
+# (batch 16, float32) that im2col took 68 ms on one lane and 76 ms on two at
+# 256 KiB, 63 ms and 36 ms at 1 MiB. The quantum layer sizes its window chunks
+# by it too (qlayer._on_window_chunks).
 _BLOCK_BYTES = 1024 * 1024
-
-
-def _blocks(b: int, rows: int, row_bytes: int):
-    """(items, r0, r1) blocks of about _BLOCK_BYTES: one item and a run of
-    rows, or whole items when one fits."""
-    per_block = max(1, _BLOCK_BYTES // max(1, row_bytes))
-    if per_block >= rows:
-        step = per_block // rows
-        for n in range(0, b, step):
-            yield slice(n, n + step), 0, rows
-        return
-    for n in range(b):
-        for r0 in range(0, rows, per_block):
-            yield slice(n, n + 1), r0, min(rows, r0 + per_block)
 
 
 def _im2col(xn: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> np.ndarray:
     """Padded NHWC items [B, Hp, Wp, C] -> windows as rows: [B, Ho·Wo, C·kh·kw],
     (c, i, j) order, written into `out`, a flat or contiguous array of xn's
-    dtype and the columns' size."""
+    dtype and the columns' size. Columns over _BLOCK_BYTES are built one item
+    and a run of rows at a time, so that each block stays in cache while
+    every tap writes into it; _on_items hands conv at most one block of
+    whole items or a single item, so smaller ones are one block."""
     b, hp, wp, c = xn.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     cols = out.reshape(b, ho, wo, c, kh, kw)
     wend = (wo - 1) * stride + 1
-    for n, r0, r1 in _blocks(b, ho, wo * c * kh * kw * xn.itemsize):
+    rows = max(1, _BLOCK_BYTES // max(1, wo * c * kh * kw * xn.itemsize))  # column rows per block
+    blocks = [(slice(None), 0, ho)] if rows >= b * ho else [
+        (slice(n, n + 1), r0, min(ho, r0 + rows)) for n in range(b) for r0 in range(0, ho, rows)]
+    for n, r0, r1 in blocks:
         for i in range(kh):
             src = xn[n, r0 * stride + i : (r1 - 1) * stride + i + 1 : stride]
             for j in range(kw):
@@ -373,30 +368,22 @@ def _im2col(xn: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> n
 
 def _col2im(dcols: np.ndarray, dxn: np.ndarray, kh: int, kw: int, stride: int) -> None:
     """Adjoint of _im2col: adds dcols into the padded NHWC gradient dxn
-    [B, Hp, Wp, C], summing each element's taps in (i, j) order."""
+    [B, Hp, Wp, C], summing each element's taps in (i, j) order from what dxn
+    holds. Unblocked: conv hands it one chunk of _on_items at a time, and
+    keeps it only for convs whose column matrices are small."""
     b, hp, wp, c = dxn.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     dwin = dcols.reshape(b, ho, wo, c, kh, kw)
-    wend = (wo - 1) * stride + 1
-    # blocks run over padded input rows (each takes about 1/stride of a dcols
-    # row), so every element receives all its taps inside one block, in the
-    # same order as an unblocked loop
-    for n, y0, y1 in _blocks(b, hp, wo * c * kh * kw * dcols.itemsize // stride):
-        for i in range(kh):
-            # output rows oy whose tap i lands in [y0, y1): y0 <= oy*stride + i < y1
-            lo = max(0, -((i - y0) // stride))
-            hi = min(ho, -((i - y1) // stride))
-            if lo >= hi:
-                continue
-            dst = dxn[n, lo * stride + i : (hi - 1) * stride + i + 1 : stride]
-            for j in range(kw):
-                dst[:, :, j : j + wend : stride] += dwin[n, lo:hi, :, :, i, j]
+    hend, wend = (ho - 1) * stride + 1, (wo - 1) * stride + 1
+    for i in range(kh):
+        for j in range(kw):
+            dxn[:, i : i + hend : stride, j : j + wend : stride] += dwin[..., i, j]
 
 
-# CPUs this process may run on, read once: conv splits each batch (and its
-# backward's kernel taps) into this many runs at most, and the quantum layer
-# its windows into this many runs of chunks, one per lane.
+# CPUs this process may run on, read once: _on_items splits each batch into
+# this many runs of chunks at most, one per lane, as conv backward does its
+# kernel taps and the quantum layer its window chunks.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _POOL = None, 0  # the worker lanes' executor and its thread count; the caller is lane 0
@@ -455,22 +442,32 @@ def _on_lanes(fn, calls) -> None:
         lane.result()
 
 
+def _chunk(b: int, item_bytes: int) -> tuple:
+    """(lanes, items) of _on_items over b items of item_bytes each: how many
+    lanes it runs on, and the most items it hands fn at once."""
+    items = min(b, max(1, _BLOCK_BYTES // max(1, item_bytes)))
+    return 1 if items == b else len(_runs(b)), items
+
+
 def _on_items(fn, b: int, item_bytes: int) -> None:
-    """fn(k, j) for chunks k..j of whole items that cover a batch of b items
-    once, each chunk about _BLOCK_BYTES of item_bytes-sized items (at least
-    one item): a run of chunks per lane (_runs), or all of it in one call on
-    the calling thread when the batch fits in one block, where a lane
-    dispatch would cost more than it saves."""
-    step = max(1, _BLOCK_BYTES // max(1, item_bytes))
-    if step >= b:
-        fn(0, b)
+    """fn(lane, k, j) for chunks k..j of whole items that cover a batch of b
+    items once: the one split of every per-item pass. Each chunk holds about
+    _BLOCK_BYTES of item_bytes-sized items, at least one (_chunk), and each
+    lane takes a contiguous run of chunks (_runs) in order, lane 0 on the
+    calling thread. A batch that fits in one chunk is one fn(0, 0, b) on the
+    calling thread, where a lane dispatch would cost more than it saves.
+    Arrays the lanes write belong in the caller: one a worker lane
+    allocated would come from that thread's own malloc arena."""
+    step = _chunk(b, item_bytes)[1]
+    if step == b:
+        fn(0, 0, b)
         return
 
-    def run(n, m):
+    def run(lane, n, m):
         for k in range(n, m, step):
-            fn(k, min(m, k + step))
+            fn(lane, k, min(m, k + step))
 
-    _on_lanes(run, _runs(b))
+    _on_lanes(run, [(lane, n, m) for lane, (n, m) in enumerate(_runs(b))])
 
 
 # The most lanes conv backward spreads its kernel taps over. Each keeps one
@@ -495,17 +492,18 @@ def _by_taps(b: int, cin: int, cout: int, positions: int) -> bool:
     return cin >= 8 and cout * cin * b * positions > 1_000_000
 
 
-def _tap_backward(xd, wd, gmat, ho: int, wo: int, stride: int, padding: int, runs):
+def _tap_backward(xd, wd, gmat, ho: int, wo: int, stride: int, padding: int):
     """(dw, padded NHWC dx) of a conv, one kernel tap (i, j) at a time, with
     no column matrix (the backward half of kn2row: Vasudevan, Anderson &
     Gregg 2017).
 
     dw[:, :, i, j] is the GEMM of the output gradient with the tap's rows of
-    the padded input, the rows im2col gives that tap in the same order; the
-    taps run over at most _TAP_LANES lanes, each as one whole-batch GEMM. dx
-    adds, per run of items on its lane, each tap's product with W[:, :, i, j]
-    into the tap's shifted window of the padded gradient, taps in (i, j)
-    order from zero as _col2im sums them. gmat is the [B, Ho·Wo, Cout] output gradient.
+    the padded input, the rows im2col gives that tap in the same order. Each
+    tap's GEMM spans the whole batch, so dw splits taps, not items: they run
+    over at most _TAP_LANES lanes. dx adds, per chunk of whole items
+    (_on_items), each tap's product with W[:, :, i, j] into the tap's
+    shifted window of the padded gradient, taps in (i, j) order from zero as
+    _col2im sums them. gmat is the [B, Ho·Wo, Cout] output gradient.
     """
     b, cin, h, w = xd.shape
     cout, _, kh, kw = wd.shape
@@ -534,27 +532,33 @@ def _tap_backward(xd, wd, gmat, ho: int, wo: int, stride: int, padding: int, run
     wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # [kh, kw, Cout, Cin]: each tap's matrix in C order
     products = scratch[0].reshape(b, ho * wo, cin)
 
-    def dx_run(n, m):
+    def dx_chunk(lane, n, m):
         for i, j in taps:
             np.matmul(gmat[n:m], wt[i, j], out=products[n:m])
             dxn[n:m, i : i + hend : stride, j : j + wend : stride] += products[n:m].reshape(m - n, ho, wo, cin)
 
-    _on_lanes(dx_run, runs)
+    # a chunk's padded gradient, products and output gradient, which every tap
+    # reads again, stay in cache together
+    _on_items(dx_chunk, b, dxn[:1].nbytes + ho * wo * (cin + cout) * xd.itemsize)
     return dwt.transpose(2, 3, 0, 1), dxn
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B, Cin, H, W] with [Cout, Cin, kh, kw] kernels.
 
-    The forward splits the batch into one run of items per lane (_runs) and
-    builds its columns a chunk of whole items at a time. The rule saves x.
+    Every per-item pass runs in chunks of whole items (_on_items). The
+    forward builds each chunk's columns, about _BLOCK_BYTES of them, and
+    multiplies them into the output, so a conv whose whole batch of columns
+    fits in one block runs its forward, and an im2col backward, on the
+    calling thread alone. The rule saves x.
     Backward goes one kernel tap at a time (_tap_backward) where _by_taps
-    says that keeps im2col's bits; elsewhere it rebuilds the columns in an
-    array of its own and takes dw from one GEMM and dx from one per-item GEMM
-    and _col2im. Each matmul makes the per-item GEMM calls that one stacked
-    matmul over the full column matrix would, and only the dw and db
-    reductions span items, as whole-batch calls, so neither the lane count,
-    the chunking nor the rule changes a bit.
+    says that keeps im2col's bits; elsewhere it rebuilds the columns a chunk
+    at a time in an array of its own, takes dw from one GEMM over them, and
+    dx from one GEMM and one _col2im per chunk. Each matmul makes the
+    per-item GEMM calls that one stacked matmul over the full column matrix
+    would, and only the dw and db reductions span items, as whole-batch
+    calls, so neither the lane count, the chunking nor the rule changes a
+    bit.
     """
     _same_dtype(x, weight, bias)
     if x.ndim != 4 or weight.ndim != 4:
@@ -578,40 +582,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     xd = x.data
     wmat = weight.data.reshape(cout, -1)
     size = ho * wo * wmat.shape[1]  # column-matrix elements per batch item
-    runs = _runs(b)
-    items = min(max(m - n for n, m in runs), max(1, _BLOCK_BYTES // (size * xd.itemsize)))
+    item = size * xd.itemsize
+    lanes, items = _chunk(b, item)
     p = padding
     hp, wp = h + 2 * p, w + 2 * p
 
-    def on_chunks(cols_at, use=None):
-        """On every lane, for each chunk of whole items k..j of its run: copy
-        them into the lane's padded NHWC scratch, build their columns in
-        cols_at(lane, k, j), then use(k, j, cols) if given."""
-        # allocated here in the calling thread, as is every array the lanes
-        # write: one a worker lane allocated would come from its own malloc
-        # arena. The padding borders stay zero from chunk to chunk.
-        padded = np.zeros((len(runs), items, hp, wp, cin), dtype=xd.dtype)
+    def im2col_items():
+        """fn(lane, k, j, cols) that copies items k..j into the lane's padded
+        NHWC scratch and builds their columns in cols."""
+        # allocated here in the calling thread; the padding borders stay zero
+        # from chunk to chunk
+        padded = np.zeros((lanes, items, hp, wp, cin), dtype=xd.dtype)
 
-        def run(lane, n, m):
-            xn = padded[lane]
-            for k in range(n, m, items):
-                j = min(m, k + items)
-                xn[: j - k, p : p + h, p : p + w] = xd[k:j].transpose(0, 2, 3, 1)
-                cols = _im2col(xn[: j - k], kh, kw, stride, cols_at(lane, k, j))
-                if use is not None:
-                    use(k, j, cols)
+        def fn(lane, k, j, cols):
+            xn = padded[lane, : j - k]
+            xn[:, p : p + h, p : p + w] = xd[k:j].transpose(0, 2, 3, 1)
+            return _im2col(xn, kh, kw, stride, cols)
 
-        _on_lanes(run, [(lane, n, m) for lane, (n, m) in enumerate(runs)])
+        return fn
 
     out = np.empty((b, ho * wo, cout), dtype=xd.dtype)
-    chunks = np.empty((len(runs), items * size), dtype=xd.dtype)
+    chunks = np.empty((lanes, items * size), dtype=xd.dtype)
+    columns = im2col_items()
 
-    def product(k, j, cols):
-        np.matmul(cols, wmat.T, out=out[k:j])
+    def product(lane, k, j):
+        np.matmul(columns(lane, k, j, chunks[lane, : (j - k) * size]), wmat.T, out=out[k:j])
         out[k:j] += bias.data
 
-    on_chunks(lambda lane, k, j: chunks[lane, : (j - k) * size], product)
-    del chunks
+    _on_items(product, b, item)
+    del chunks, columns
     out = out.transpose(0, 2, 1).reshape(b, cout, ho, wo)
     w_shape = weight.shape
 
@@ -619,17 +618,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         gmat = g.reshape(b, cout, ho * wo).transpose(0, 2, 1)
         db = g.sum(axis=(0, 2, 3))
         if _by_taps(b, cin, cout, ho * wo):
-            dw, dxn = _tap_backward(xd, weight.data, gmat, ho, wo, stride, padding, runs)
+            dw, dxn = _tap_backward(xd, weight.data, gmat, ho, wo, stride, padding)
         else:
             cols = np.empty((b, ho * wo, wmat.shape[1]), dtype=xd.dtype)
-            on_chunks(lambda lane, k, j: cols[k:j])
+            columns = im2col_items()
+            _on_items(lambda lane, k, j: columns(lane, k, j, cols[k:j]), b, item)
+            del columns
             dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
             dxn = np.zeros((b, hp, wp, cin), dtype=xd.dtype)
-
-            def dx_run(n, m):
-                _col2im(np.matmul(gmat[n:m], wmat, out=cols[n:m]), dxn[n:m], kh, kw, stride)
-
-            _on_lanes(dx_run, runs)
+            _on_items(lambda lane, k, j: _col2im(np.matmul(gmat[k:j], wmat, out=cols[k:j]), dxn[k:j], kh, kw, stride),
+                      b, item)
         return dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2), dw, db
 
     return _result(out, (x, weight, bias), bwd)
@@ -673,7 +671,7 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     b, item = xd.shape[0], xd[:1].nbytes
     out = np.empty_like(xd)
 
-    def select(k, j):
+    def select(_, k, j):
         np.multiply(a, xd[k:j], out=out[k:j])
         out[k:j] = np.where(xd[k:j] >= 0, xd[k:j], out[k:j])
 
@@ -684,7 +682,7 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
         dx = np.empty_like(g)
         neg = np.empty_like(g)
 
-        def chunk(k, j):
+        def chunk(_, k, j):
             gk, xk = g[k:j], xd[k:j]
             np.less(xk, 0, out=dx[k:j])  # x < 0 as 1 or 0, in dx until dx is made
             np.multiply(gk, xk, out=neg[k:j])
@@ -748,7 +746,7 @@ def batchnorm2d(
     if training:
         mu = xd.mean(axis=(0, 2, 3))
 
-        def centre(k, j):
+        def centre(_, k, j):
             np.subtract(xd[k:j], mu[None, :, None, None], out=xhat[k:j])
             np.multiply(xhat[k:j], xhat[k:j], out=out[k:j])
 
@@ -767,7 +765,7 @@ def batchnorm2d(
     inv = 1.0 / np.sqrt(var + xd.dtype.type(_BN_EPS))
     inv4 = inv[None, :, None, None]
 
-    def affine(k, j):
+    def affine(_, k, j):
         if not training:
             np.subtract(xd[k:j], mu[None, :, None, None], out=xhat[k:j])
         np.multiply(xhat[k:j], inv4, out=xhat[k:j])
@@ -782,7 +780,7 @@ def batchnorm2d(
         dx = np.empty_like(g)  # dx̂, then dx
         gamma4 = gamma.data[None, :, None, None]
 
-        def products(k, j):
+        def products(_, k, j):
             np.multiply(g[k:j], xhat[k:j], out=prod[k:j])
             np.multiply(g[k:j], gamma4, out=dx[k:j])
             if not training:
@@ -792,12 +790,12 @@ def batchnorm2d(
         dgamma = prod.sum(axis=(0, 2, 3))
         if training:
             m = b * h * w
-            _on_items(lambda k, j: np.multiply(dx[k:j], xhat[k:j], out=prod[k:j]), b, item)
+            _on_items(lambda _, k, j: np.multiply(dx[k:j], xhat[k:j], out=prod[k:j]), b, item)
             sum_dxhat = dx.sum(axis=(0, 2, 3))[None, :, None, None]
             sum_dxhat_xhat = prod.sum(axis=(0, 2, 3))[None, :, None, None]
             scale = inv4 / m
 
-            def finish(k, j):  # (inv / m)·(m·dx̂ − Σdx̂ − x̂·Σdx̂x̂)
+            def finish(_, k, j):  # (inv / m)·(m·dx̂ − Σdx̂ − x̂·Σdx̂x̂)
                 d = dx[k:j]
                 np.multiply(m, d, out=d)
                 np.subtract(d, sum_dxhat, out=d)
@@ -1023,7 +1021,7 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     idx = np.empty((b, c, ho, wo), dtype=np.intp)
     out = np.empty((b, c, ho, wo), dtype=xd.dtype)
 
-    def pool(i, j):
+    def pool(_, i, j):
         n = j - i
         windows = xd[i:j].reshape(n, c, ho, k, wo, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
         np.argmax(windows, axis=-1, out=idx[i:j])
@@ -1034,7 +1032,7 @@ def maxpool2d(x: Tensor, k: int = 2) -> Tensor:
     def bwd(g):
         dx = np.empty((b, c, h, w), dtype=g.dtype)
 
-        def scatter(i, j):
+        def scatter(_, i, j):
             n = j - i
             dwin = np.zeros((n, c, ho, wo, k * k), dtype=g.dtype)
             np.put_along_axis(dwin, idx[i:j, ..., None], g[i:j, ..., None], axis=-1)
@@ -1080,7 +1078,7 @@ def nearest_upsample(x: Tensor, factors: tuple[int, int]) -> Tensor:
 
     def bwd(g):
         dx = np.empty_like(g[:, :, ::fh, ::fw])  # laid out as the sum would allocate it
-        _on_items(lambda i, j: g[i:j].reshape(j - i, c, h, fh, w, fw).sum(axis=(3, 5), out=dx[i:j]),
+        _on_items(lambda _, i, j: g[i:j].reshape(j - i, c, h, fh, w, fw).sum(axis=(3, 5), out=dx[i:j]),
                   b, g[:1].nbytes)
         return (dx,)
 

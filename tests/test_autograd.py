@@ -376,8 +376,10 @@ class TestTapRule:
 
 
 class TestConvLanes:
-    """conv2d splits each batch into runs of items, one per lane; the lane
-    count changes no bit, and a failing lane is raised in the caller."""
+    """conv2d runs its per-item passes through _on_items: a batch whose
+    columns exceed one block splits into a run of chunks of whole items per
+    lane, a smaller one runs on the calling thread alone. The lane count
+    changes no bit, and a failing lane is raised in the caller."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_lane_count_changes_nothing(self, monkeypatch, dtype):
@@ -408,8 +410,10 @@ class TestConvLanes:
 
     @pytest.mark.parametrize("failing", [0, 2], ids=["caller", "qcseis-conv-lane-2"])
     def test_failing_lane_is_raised_after_every_lane_ran(self, monkeypatch, failing):
-        # 6 items on 3 lanes: runs of 2 items, each built in one chunk, so
-        # each lane makes one _im2col call; run 0 is the caller's
+        # 6 items of 324 KiB of columns on 3 lanes: more than one block, so
+        # the batch splits into runs of 2 items, each built in one chunk (3
+        # items fit a block), so each lane makes one _im2col call; run 0 is
+        # the caller's
         monkeypatch.setattr(ag, "_LANES", 3)
         finished = []
         im2col = ag._im2col
@@ -424,7 +428,8 @@ class TestConvLanes:
             return im2col(xn, *args)
 
         rng = np.random.default_rng(5)
-        x, w, b = conv_inputs(rng, (6, 4, 12, 12), (5, 4, 3, 3), np.float32)
+        x, w, b = conv_inputs(rng, (6, 4, 48, 48), (5, 4, 3, 3), np.float32)
+        assert ag._chunk(6, 48 * 48 * 4 * 9 * 4) == (3, 3)
         monkeypatch.setattr(ag, "_im2col", failing_im2col)
         with pytest.raises(RuntimeError, match="lane failed"):
             ag.conv2d(x, w, b, 1, 1)
@@ -480,9 +485,10 @@ class TestConvLanes:
     def test_forked_child_gets_a_fresh_pool(self, monkeypatch):
         monkeypatch.setattr(ag, "_LANES", 3)
         rng = np.random.default_rng(6)
-        x, w, b = conv_inputs(rng, (6, 4, 12, 12), (5, 4, 3, 3), np.float32)
-        g = rng.normal(size=(6, 5, 12, 12)).astype(np.float32)
-        out = ag.conv2d(x, w, b, 1, 1)  # splits, so the pool has started
+        x, w, b = conv_inputs(rng, (6, 4, 48, 48), (5, 4, 3, 3), np.float32)
+        g = rng.normal(size=(6, 5, 48, 48)).astype(np.float32)
+        out = ag.conv2d(x, w, b, 1, 1)  # its columns exceed one block, so it splits and the pool has started
+        assert ag._POOL[0] is not None
         ref = [bits(a) for a in (out.data, *out._backward(g))]
         pid = os.fork()
         if pid == 0:  # the child: the parent's lane threads do not exist here
@@ -520,6 +526,88 @@ class TestConvLanes:
         threads, *new = done.stdout.split()
         assert threads == "1"
         assert [m for m in new if m.split(".")[0] != "qcseis"] == []
+
+
+class TestOnItems:
+    """_on_items, the one split of every per-item pass: chunks of whole
+    items of about a block each, a contiguous run of chunks per lane in
+    order with lane 0 the calling thread, or a single call on the caller
+    when the batch fits in one block."""
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 17])
+    @pytest.mark.parametrize("b", [1, 3, 16, 17])
+    @pytest.mark.parametrize("step", [1, 3, "b", "more"])
+    def test_chunks_cover_the_batch(self, monkeypatch, lanes, b, step):
+        monkeypatch.setattr(ag, "_LANES", lanes)
+        step = {"b": b, "more": b + 5}.get(step, step)
+        item_bytes = ag._BLOCK_BYTES // step
+        assert max(1, ag._BLOCK_BYTES // item_bytes) == step
+        calls, caller = [], threading.get_ident()
+        ag._on_items(lambda lane, k, j: calls.append((lane, k, j, threading.get_ident())), b, item_bytes)
+        if step >= b:
+            assert calls == [(0, 0, b, caller)]
+            return
+        by_lane = {}
+        for lane, k, j, ident in calls:
+            by_lane.setdefault(lane, []).append((k, j, ident))
+        assert sorted(by_lane) == list(range(min(lanes, b)))
+        # lane after lane, each lane's chunks in the order it ran them: one
+        # contiguous cover of the batch, so every item comes once
+        chunks = [(k, j) for lane in sorted(by_lane) for k, j, _ in by_lane[lane]]
+        assert [k for k, _ in chunks] == [0] + [j for _, j in chunks[:-1]]
+        assert chunks[-1][1] == b
+        assert all(0 < j - k <= step for k, j in chunks)
+        # a lane cuts a chunk short only at the end of its run
+        for lane, run in by_lane.items():
+            assert all(j - k == step for k, j, _ in run[:-1])
+            assert len({ident for _, _, ident in run}) == 1
+            assert (run[0][2] == caller) == (lane == 0)
+
+    @pytest.mark.parametrize("failing", [0, 2], ids=["caller", "lane-2"])
+    def test_failing_chunk_is_raised_after_every_lane_ran(self, monkeypatch, failing):
+        # 6 items of a block each on 3 lanes: runs of two one-item chunks;
+        # run 0 is the caller's
+        monkeypatch.setattr(ag, "_LANES", 3)
+        finished = []
+
+        def fn(lane, k, j):
+            if lane == failing:
+                raise RuntimeError("chunk failed")
+            time.sleep(0.05)
+            finished.append(k)
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            ag._on_items(fn, 6, ag._BLOCK_BYTES)
+        # the other two lanes ran both their chunks before the error surfaced
+        assert sorted(finished) == [k for k in range(6) if k // 2 != failing]
+
+    def test_small_unit_starts_no_thread(self):
+        # a conv -> batch norm -> PReLU unit, forward and backward: one whose
+        # batch fits one block runs on the calling thread alone; one whose
+        # conv columns exceed a block starts the lanes
+        code = ("import threading\n"
+                "import numpy as np\n"
+                "from qcseis import autograd as ag\n"
+                "ag._LANES = 2\n"
+                "def unit(b, cin, c, size):\n"
+                "    rng = np.random.default_rng(b)\n"
+                "    t = lambda *shape: ag.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)\n"
+                "    x, w, bias, gamma, beta, alpha = t(b, cin, size, size), t(c, cin, 3, 3), t(c), t(c), t(c), t(c)\n"
+                "    out = ag.batchnorm2d(ag.conv2d(x, w, bias, 1, 1), gamma, beta, np.zeros(c, np.float32),\n"
+                "                         np.ones(c, np.float32), training=True)\n"
+                "    ag.backward(ag.tsum(ag.prelu(out, alpha)))\n"
+                "    assert x.grad is not None and w.grad is not None\n"
+                "unit(4, 3, 16, 12)\n"
+                "print(threading.active_count(), ag._POOL == (None, 0))\n"
+                "unit(8, 16, 16, 32)\n"
+                "print(threading.active_count(), ag._POOL[0] is not None)\n")
+        src = str(Path(ag.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        small, large = done.stdout.splitlines()
+        assert small == "1 True"
+        assert large == "2 True"
 
 
 class TestQuantumLanes:
@@ -1138,9 +1226,11 @@ class TestGraphHoldsNoActivation:
             assert_same_bits(released[name], held[name])
 
     def test_conv_backward_reuses_its_column_matrix(self, monkeypatch):
-        # both convs of the block are small enough to keep im2col's backward
-        made, events = [], []
-        im2col, col2im = ag._im2col, ag._col2im
+        # both convs of the block are small enough to keep im2col's backward;
+        # at the default block each conv's batch is one chunk, at 1 byte it
+        # is one item per chunk, on 2 lanes
+        made, events, passes = [], [], []
+        im2col, col2im, on_items = ag._im2col, ag._col2im, ag._on_items
 
         def recording_im2col(*args):
             cols = im2col(*args)
@@ -1152,33 +1242,53 @@ class TestGraphHoldsNoActivation:
             events.append(("col2im", span(dcols)))
             return col2im(dcols, *args)
 
+        def recording_on_items(fn, b, item_bytes):
+            chunks = []
+            passes.append((item_bytes, chunks))
+
+            def recording_fn(lane, k, j):
+                chunks.append((k, j))
+                return fn(lane, k, j)
+
+            on_items(recording_fn, b, item_bytes)
+
         monkeypatch.setattr(ag, "_LANES", 2)
         monkeypatch.setattr(ag, "_im2col", recording_im2col)
         monkeypatch.setattr(ag, "_col2im", recording_col2im)
-        root = conv_block(self.x, self.params, self.weights)[-1]
-        forward = made[:]
-        assert len(forward) >= 2
-        assert [kind for kind, _ in events] == ["im2col"] * len(forward)  # the forward sums no dx
-        made.clear()
-        events.clear()
-        ag.backward(root)
-        # each conv, the second one first, rebuilds its columns a chunk at a
-        # time in an array of its own and then sums its dx on 2 lanes,
-        # writing the column gradient over the rebuilt columns: both cover
-        # that array exactly once
-        groups = [(kind, [s for _, s in group]) for kind, group in itertools.groupby(events, lambda e: e[0])]
-        assert [kind for kind, _ in groups] == ["im2col", "col2im"] * 2
-        owners = []
-        for (_, built), (_, given), cin in zip(groups[::2], groups[1::2], (16, 3)):
-            assert not takes_taps((4, cin, 12, 12), (16, cin, 3, 3), 1, 1)
-            assert len(given) == 2
-            owner = next(cols.base for cols in made if span(cols)[0] == tiling(built)[0])
-            assert tiling(built) == tiling(given) == (span(owner)[0], span(owner)[0] + 4 * 12 * 12 * cin * 9 * 4)
-            assert not any(np.shares_memory(owner, cols) for cols in forward)
-            owners.append(weakref.ref(owner))
-        del owner
-        made.clear()
-        assert [ref() is None for ref in owners] == [True, True]  # freed when its backward returned
+        monkeypatch.setattr(ag, "_on_items", recording_on_items)
+        for block_bytes, chunk_count in ((ag._BLOCK_BYTES, 1), (1, 4)):
+            monkeypatch.setattr(ag, "_BLOCK_BYTES", block_bytes)
+            root = conv_block(self.x, self.params, self.weights)[-1]
+            forward = made[:]
+            assert len(forward) >= 2
+            assert [kind for kind, _ in events] == ["im2col"] * len(forward)  # the forward sums no dx
+            made.clear()
+            events.clear()
+            passes.clear()
+            ag.backward(root)
+            # each conv, the second one first, rebuilds its columns a chunk at
+            # a time in an array of its own and then sums its dx a chunk at a
+            # time, writing the column gradient over the rebuilt columns: both
+            # cover that array exactly once, in the chunks _on_items gave
+            groups = [(kind, [s for _, s in group]) for kind, group in itertools.groupby(events, lambda e: e[0])]
+            assert [kind for kind, _ in groups] == ["im2col", "col2im"] * 2
+            owners = []
+            for (_, built), (_, given), cin in zip(groups[::2], groups[1::2], (16, 3)):
+                assert not takes_taps((4, cin, 12, 12), (16, cin, 3, 3), 1, 1)
+                item = 12 * 12 * cin * 9 * 4  # column bytes per batch item
+                rebuild, dx = [chunks for nbytes, chunks in passes if nbytes == item]
+                assert len(rebuild) == len(dx) == chunk_count
+                owner = next(cols.base for cols in made if span(cols)[0] == tiling(built)[0])
+                start = span(owner)[0]
+                assert sorted(built) == sorted((start + k * item, (j - k) * item) for k, j in rebuild)
+                assert sorted(given) == sorted((start + k * item, (j - k) * item) for k, j in dx)
+                assert tiling(built) == tiling(given) == (start, start + span(owner)[1]) == (start, start + 4 * item)
+                assert not any(np.shares_memory(owner, cols) for cols in forward)
+                owners.append(weakref.ref(owner))
+            del owner
+            made.clear()
+            events.clear()
+            assert [ref() is None for ref in owners] == [True, True]  # freed when its backward returned
 
     def test_unet_forward_keeps_a_third_of_the_old_bytes(self):
         # Bytes a default UNet forward at batch 2 keeps alive through its
@@ -1248,7 +1358,7 @@ class TestConvScratch:
             assert sorted({takes_taps(*case) for case in cases}) == [False, True]
 
     @pytest.mark.parametrize("x_shape, w_shape", [((8, 32, 32, 32), (32, 32, 3, 3)),
-                                                  ((8, 3, 32, 32), (32, 3, 3, 3))], ids=["taps", "im2col"])
+                                                  ((16, 3, 32, 32), (32, 3, 3, 3))], ids=["taps", "im2col"])
     def test_no_scratch_survives_backward_in_any_thread(self, monkeypatch, x_shape, w_shape):
         # the backward runs on 2 lanes in a thread that lives on after it;
         # once the output and gradients are dropped, the traced memory is
