@@ -15,10 +15,10 @@ that splits; the calling thread is lane 0. Work is split three ways, each
 with the reason it is separate. _on_items is the one split of a batch: a
 contiguous run of chunks of whole items (about _BLOCK_BYTES each) per
 lane, or one call on the calling thread when the whole batch fits in one
-chunk. Every per-item pass goes through it: conv's forward and its
-backward's dx and column rebuild, and the elementwise and per-item passes
-of batch norm, PReLU, max-pool and the upsample backward, each writing
-into full-size arrays the calling thread allocates. Conv backward's dw
+chunk. Every per-item pass on the lanes goes through it: conv's forward
+and its tap rule's dx, and the elementwise and per-item passes of batch
+norm, PReLU, max-pool and the upsample backward, each writing into
+full-size arrays the calling thread allocates. The tap rule's dw
 (_tap_backward) splits kernel taps, not items, over at most _TAP_LANES
 lanes, because each tap's GEMM spans the whole batch. The quantum layer
 (qlayer._on_window_chunks) splits windows on a fixed grid from window 0,
@@ -37,16 +37,18 @@ backward through the same graph raises. Conv's rule saves its input, not
 its column matrix (recomputed rather than stored, as in Chen et al. 2016).
 The forward builds columns a chunk of whole items at a time, each lane in
 its own padded scratch, and multiplies each chunk into the output. Backward
+builds the whole batch's padded input once, on the calling thread, and
 takes one of two rules, chosen by the conv's sizes (_by_taps), each giving
-the bits of the full column matrix's GEMMs. Most convs of the default
-models go one kernel tap at a time with no column matrix (_tap_backward):
-dw from one whole-batch GEMM per tap over the tap's rows of the padded
-input, dx from each tap's product added into its shifted window. The rest,
-whose column matrices are small, rebuild their columns a chunk at a time
-into an array of the call, take dw from one GEMM over them and write the
-column gradient over them. No scratch array outlives the call. Each
-gradient keeps the memory order of its data (conv outputs are
-NHWC-strided), since the rules' reductions follow that order. Leaf
+the bits of the full column matrix's GEMMs and turning the padded input
+into the padded dx. Most convs of the default models go one kernel tap at
+a time with no column matrix (_tap_backward), on the lanes: dw from one
+whole-batch GEMM per tap over the tap's rows of the padded input, dx from
+each tap's product added into its shifted window. The rest, whose column
+matrices are small, run as whole-batch calls on the calling thread: one
+_im2col into an array of the call, dw from one GEMM over it, and one
+_col2im of the column gradient written over it. No scratch array outlives
+the call. Each gradient keeps the memory order of its data (conv outputs
+are NHWC-strided), since the rules' reductions follow that order. Leaf
 gradients still accumulate across separate graphs.
 """
 from __future__ import annotations
@@ -327,8 +329,8 @@ def backward(root: Tensor) -> None:
 # convolution
 
 
-# Bytes of one chunk of _on_items (for conv's forward and im2col backward, of
-# column matrix), and of column matrix per block of _im2col. Each block is
+# Bytes of one chunk of _on_items (for conv's forward, of column matrix), and
+# of column matrix per block of _im2col. Each block is
 # touched once per kernel tap, so it has to stay in a per-core L2 cache
 # together with its input rows, a further 1/(kh*kw) of its size; then every
 # cache line of the column matrix goes to memory once rather than once per
@@ -346,10 +348,10 @@ _BLOCK_BYTES = 1024 * 1024
 def _im2col(xn: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> np.ndarray:
     """Padded NHWC items [B, Hp, Wp, C] -> windows as rows: [B, Ho·Wo, C·kh·kw],
     (c, i, j) order, written into `out`, a flat or contiguous array of xn's
-    dtype and the columns' size. Columns over _BLOCK_BYTES are built one item
-    and a run of rows at a time, so that each block stays in cache while
-    every tap writes into it; _on_items hands conv at most one block of
-    whole items or a single item, so smaller ones are one block."""
+    dtype and the columns' size. Columns over _BLOCK_BYTES (the im2col
+    backward's whole batch, or a forward chunk of one large item) are built
+    one item and a run of rows at a time, so that each block stays in cache
+    while every tap writes into it."""
     b, hp, wp, c = xn.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
@@ -369,8 +371,8 @@ def _im2col(xn: np.ndarray, kh: int, kw: int, stride: int, out: np.ndarray) -> n
 def _col2im(dcols: np.ndarray, dxn: np.ndarray, kh: int, kw: int, stride: int) -> None:
     """Adjoint of _im2col: adds dcols into the padded NHWC gradient dxn
     [B, Hp, Wp, C], summing each element's taps in (i, j) order from what dxn
-    holds. Unblocked: conv hands it one chunk of _on_items at a time, and
-    keeps it only for convs whose column matrices are small."""
+    holds. Unblocked, in one call over the whole batch: conv keeps it only
+    for convs whose column matrices are small."""
     b, hp, wp, c = dxn.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
@@ -382,7 +384,7 @@ def _col2im(dcols: np.ndarray, dxn: np.ndarray, kh: int, kw: int, stride: int) -
 
 
 # CPUs this process may run on, read once: _on_items splits each batch into
-# this many runs of chunks at most, one per lane, as conv backward does its
+# this many runs of chunks at most, one per lane, as conv's tap rule does its
 # kernel taps and the quantum layer its window chunks.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -451,11 +453,12 @@ def _chunk(b: int, item_bytes: int) -> tuple:
 
 def _on_items(fn, b: int, item_bytes: int) -> None:
     """fn(lane, k, j) for chunks k..j of whole items that cover a batch of b
-    items once: the one split of every per-item pass. Each chunk holds about
-    _BLOCK_BYTES of item_bytes-sized items, at least one (_chunk), and each
-    lane takes a contiguous run of chunks (_runs) in order, lane 0 on the
-    calling thread. A batch that fits in one chunk is one fn(0, 0, b) on the
-    calling thread, where a lane dispatch would cost more than it saves.
+    items once: the one split of every per-item pass on the lanes. Each
+    chunk holds about _BLOCK_BYTES of item_bytes-sized items, at least one
+    (_chunk), and each lane takes a contiguous run of chunks (_runs) in
+    order, lane 0 on the calling thread. A batch that fits in one chunk is
+    one fn(0, 0, b) on the calling thread, where a lane dispatch would cost
+    more than it saves.
     Arrays the lanes write belong in the caller: one a worker lane
     allocated would come from that thread's own malloc arena."""
     step = _chunk(b, item_bytes)[1]
@@ -470,9 +473,10 @@ def _on_items(fn, b: int, item_bytes: int) -> None:
     _on_lanes(run, [(lane, n, m) for lane, (n, m) in enumerate(_runs(b))])
 
 
-# The most lanes conv backward spreads its kernel taps over. Each keeps one
-# tap's rows of the padded input, so this bounds the scratch whatever the CPU
-# count; three lanes take the nine taps of a 3x3 kernel in even runs.
+# The most lanes conv backward's tap rule spreads its kernel taps over. Each
+# keeps one tap's rows of the padded input, so this bounds the scratch
+# whatever the CPU count; three lanes take the nine taps of a 3x3 kernel in
+# even runs.
 _TAP_LANES = 3
 
 
@@ -492,31 +496,28 @@ def _by_taps(b: int, cin: int, cout: int, positions: int) -> bool:
     return cin >= 8 and cout * cin * b * positions > 1_000_000
 
 
-def _tap_backward(xd, wd, gmat, ho: int, wo: int, stride: int, padding: int):
-    """(dw, padded NHWC dx) of a conv, one kernel tap (i, j) at a time, with
-    no column matrix (the backward half of kn2row: Vasudevan, Anderson &
-    Gregg 2017).
+def _tap_backward(xn, wd, gmat, ho: int, wo: int, stride: int):
+    """(dw, padded NHWC dx) of a conv from its padded NHWC input xn
+    [B, Hp, Wp, Cin], one kernel tap (i, j) at a time, with no column matrix
+    (the backward half of kn2row: Vasudevan, Anderson & Gregg 2017).
 
     dw[:, :, i, j] is the GEMM of the output gradient with the tap's rows of
-    the padded input, the rows im2col gives that tap in the same order. Each
-    tap's GEMM spans the whole batch, so dw splits taps, not items: they run
-    over at most _TAP_LANES lanes. dx adds, per chunk of whole items
-    (_on_items), each tap's product with W[:, :, i, j] into the tap's
-    shifted window of the padded gradient, taps in (i, j) order from zero as
-    _col2im sums them. gmat is the [B, Ho·Wo, Cout] output gradient.
+    xn, the rows im2col gives that tap in the same order. Each tap's GEMM
+    spans the whole batch, so dw splits taps, not items: they run over at
+    most _TAP_LANES lanes. xn is then zeroed and becomes dx: per chunk of
+    whole items (_on_items), each tap's product with W[:, :, i, j] is added
+    into the tap's shifted window, taps in (i, j) order from zero as _col2im
+    sums them. gmat is the [B, Ho·Wo, Cout] output gradient.
     """
-    b, cin, h, w = xd.shape
+    b, _, _, cin = xn.shape
     cout, _, kh, kw = wd.shape
-    p = padding
     hend, wend = (ho - 1) * stride + 1, (wo - 1) * stride + 1
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     tap_runs = _runs(len(taps), _TAP_LANES)
-    # every array the lanes write is allocated here in the calling thread:
-    # one a worker lane allocated would come from its own malloc arena
-    xn = np.zeros((b, h + 2 * p, w + 2 * p, cin), dtype=xd.dtype)
-    xn[:, p : p + h, p : p + w] = xd.transpose(0, 2, 3, 1)
-    scratch = np.empty((len(tap_runs), b * ho * wo, cin), dtype=xd.dtype)  # one tap's rows per lane
-    dwt = np.empty((kh, kw, cout, cin), dtype=xd.dtype)
+    # every array the lanes write is allocated in the calling thread: one a
+    # worker lane allocated would come from its own malloc arena
+    scratch = np.empty((len(tap_runs), b * ho * wo, cin), dtype=xn.dtype)  # one tap's rows per lane
+    dwt = np.empty((kh, kw, cout, cin), dtype=xn.dtype)
     # the left operand np.tensordot would make for every tap, made once
     gt = gmat.transpose(2, 0, 1).reshape(cout, b * ho * wo)
 
@@ -527,8 +528,8 @@ def _tap_backward(xd, wd, gmat, ho: int, wo: int, stride: int, padding: int):
             np.dot(gt, rows, out=dwt[i, j])
 
     _on_lanes(dw_run, [(lane, t0, t1) for lane, (t0, t1) in enumerate(tap_runs)])
-    dxn = xn  # its padding is zero already
-    dxn[:, p : p + h, p : p + w] = 0
+    dxn = xn
+    dxn[...] = 0
     wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # [kh, kw, Cout, Cin]: each tap's matrix in C order
     products = scratch[0].reshape(b, ho * wo, cin)
 
@@ -539,22 +540,23 @@ def _tap_backward(xd, wd, gmat, ho: int, wo: int, stride: int, padding: int):
 
     # a chunk's padded gradient, products and output gradient, which every tap
     # reads again, stay in cache together
-    _on_items(dx_chunk, b, dxn[:1].nbytes + ho * wo * (cin + cout) * xd.itemsize)
+    _on_items(dx_chunk, b, dxn[:1].nbytes + ho * wo * (cin + cout) * xn.itemsize)
     return dwt.transpose(2, 3, 0, 1), dxn
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [B, Cin, H, W] with [Cout, Cin, kh, kw] kernels.
 
-    Every per-item pass runs in chunks of whole items (_on_items). The
-    forward builds each chunk's columns, about _BLOCK_BYTES of them, and
-    multiplies them into the output, so a conv whose whole batch of columns
-    fits in one block runs its forward, and an im2col backward, on the
-    calling thread alone. The rule saves x.
-    Backward goes one kernel tap at a time (_tap_backward) where _by_taps
-    says that keeps im2col's bits; elsewhere it rebuilds the columns a chunk
-    at a time in an array of its own, takes dw from one GEMM over them, and
-    dx from one GEMM and one _col2im per chunk. Each matmul makes the
+    The forward runs in chunks of whole items (_on_items): it builds each
+    chunk's columns, about _BLOCK_BYTES of them, and multiplies them into
+    the output, so a conv whose whole batch of columns fits in one block
+    runs its forward on the calling thread alone. The rule saves x.
+    Backward builds the whole batch's padded NHWC input once, on the calling
+    thread. It goes one kernel tap at a time (_tap_backward) where _by_taps
+    says that keeps im2col's bits; elsewhere it runs as whole-batch calls
+    on the calling thread: one _im2col into an array of its own, dw from one
+    GEMM over it, then the column gradient from one matmul written over it
+    and one _col2im into the zeroed padded input. Each matmul makes the
     per-item GEMM calls that one stacked matmul over the full column matrix
     would, and only the dw and db reductions span items, as whole-batch
     calls, so neither the lane count, the chunking nor the rule changes a
@@ -587,47 +589,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     p = padding
     hp, wp = h + 2 * p, w + 2 * p
 
-    def im2col_items():
-        """fn(lane, k, j, cols) that copies items k..j into the lane's padded
-        NHWC scratch and builds their columns in cols."""
-        # allocated here in the calling thread; the padding borders stay zero
-        # from chunk to chunk
-        padded = np.zeros((lanes, items, hp, wp, cin), dtype=xd.dtype)
-
-        def fn(lane, k, j, cols):
-            xn = padded[lane, : j - k]
-            xn[:, p : p + h, p : p + w] = xd[k:j].transpose(0, 2, 3, 1)
-            return _im2col(xn, kh, kw, stride, cols)
-
-        return fn
-
     out = np.empty((b, ho * wo, cout), dtype=xd.dtype)
     chunks = np.empty((lanes, items * size), dtype=xd.dtype)
-    columns = im2col_items()
+    # allocated after out and chunks, an order that keeps unet_lfe's peak RSS
+    # 15 MiB lower by heap placement alone; the padding stays zero across chunks
+    padded = np.zeros((lanes, items, hp, wp, cin), dtype=xd.dtype)
 
     def product(lane, k, j):
-        np.matmul(columns(lane, k, j, chunks[lane, : (j - k) * size]), wmat.T, out=out[k:j])
+        xn = padded[lane, : j - k]
+        xn[:, p : p + h, p : p + w] = xd[k:j].transpose(0, 2, 3, 1)
+        np.matmul(_im2col(xn, kh, kw, stride, chunks[lane, : (j - k) * size]), wmat.T, out=out[k:j])
         out[k:j] += bias.data
 
     _on_items(product, b, item)
-    del chunks, columns
+    del chunks, padded
     out = out.transpose(0, 2, 1).reshape(b, cout, ho, wo)
     w_shape = weight.shape
 
     def bwd(g):
         gmat = g.reshape(b, cout, ho * wo).transpose(0, 2, 1)
         db = g.sum(axis=(0, 2, 3))
+        xn = np.zeros((b, hp, wp, cin), dtype=xd.dtype)
+        xn[:, p : p + h, p : p + w] = xd.transpose(0, 2, 3, 1)
         if _by_taps(b, cin, cout, ho * wo):
-            dw, dxn = _tap_backward(xd, weight.data, gmat, ho, wo, stride, padding)
+            dw, dxn = _tap_backward(xn, weight.data, gmat, ho, wo, stride)
         else:
-            cols = np.empty((b, ho * wo, wmat.shape[1]), dtype=xd.dtype)
-            columns = im2col_items()
-            _on_items(lambda lane, k, j: columns(lane, k, j, cols[k:j]), b, item)
-            del columns
+            cols = _im2col(xn, kh, kw, stride, np.empty(b * size, dtype=xd.dtype))
             dw = np.tensordot(gmat, cols, axes=([0, 1], [0, 1])).reshape(w_shape)
-            dxn = np.zeros((b, hp, wp, cin), dtype=xd.dtype)
-            _on_items(lambda lane, k, j: _col2im(np.matmul(gmat[k:j], wmat, out=cols[k:j]), dxn[k:j], kh, kw, stride),
-                      b, item)
+            dxn = xn
+            dxn[...] = 0
+            _col2im(np.matmul(gmat, wmat, out=cols), dxn, kh, kw, stride)
         return dxn[:, p : p + h, p : p + w].transpose(0, 3, 1, 2), dw, db
 
     return _result(out, (x, weight, bias), bwd)

@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
     data_dir = Path(cfg["data"]["dir"])
     train_set = _load_split(data_dir, "train")
     val_set = _load_split(data_dir, "val")
-    trainer.check_train_split(train_set)
+    trainer.check_train_split(train_set, val_set)
     if cfg["data"]["task"] and cfg["data"]["task"] != train_set.task:
         raise ConfigError(f"config expects task {cfg['data']['task']!r} but dataset is {train_set.task!r}")
 

@@ -455,10 +455,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def check_train_split(train_set: SeismicDataset) -> None:
-    """Raise ValueError unless the split fills one batch: batch statistics need 2 patches."""
+def check_train_split(train_set: SeismicDataset, val_set: SeismicDataset) -> None:
+    """Raise ValueError unless the training split fills one batch (batch
+    statistics need 2 patches) and the validation split has a patch to score."""
     if len(train_set) < 2:
         raise ValueError(f"training split needs at least 2 patches, got {len(train_set)}")
+    if len(val_set) == 0:
+        raise ValueError("validation split has no patches")
 
 
 def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val_set: SeismicDataset,
@@ -472,7 +475,7 @@ def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val
     the step's graph is freed when it returns. Per epoch: validation,
     history CSV rewrite, cadenced "last" and best-validation checkpoints.
     """
-    check_train_split(train_set)
+    check_train_split(train_set, val_set)
     order_rng = np.random.default_rng([cfg.seed, 101])
     history: list = []
     start_epoch = 0

@@ -181,13 +181,6 @@ def span(a: np.ndarray) -> tuple:
     return a.__array_interface__["data"][0], a.nbytes
 
 
-def tiling(spans) -> tuple:
-    """(start, end) of memory that the spans tile end to end, each byte once."""
-    spans = sorted(spans)
-    assert all(s0 + n0 == s1 for (s0, n0), (s1, _) in zip(spans, spans[1:]))
-    return spans[0][0], spans[-1][0] + spans[-1][1]
-
-
 def padded_nhwc(x: np.ndarray, padding: int) -> np.ndarray:
     """[B, C, H, W] zero-padded on each side, as the [B, Hp, Wp, C] items _im2col reads."""
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -376,10 +369,11 @@ class TestTapRule:
 
 
 class TestConvLanes:
-    """conv2d runs its per-item passes through _on_items: a batch whose
-    columns exceed one block splits into a run of chunks of whole items per
-    lane, a smaller one runs on the calling thread alone. The lane count
-    changes no bit, and a failing lane is raised in the caller."""
+    """conv2d runs its forward through _on_items: a batch whose columns
+    exceed one block splits into a run of chunks of whole items per lane, a
+    smaller one runs on the calling thread alone. The im2col backward runs on
+    the calling thread alone. The lane count changes no bit, and a failing
+    lane is raised in the caller."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_lane_count_changes_nothing(self, monkeypatch, dtype):
@@ -398,6 +392,38 @@ class TestConvLanes:
                     assert_same_bits(out.data, ref)
                     for new, old in zip(out._backward(g), ref_grads):
                         assert_same_bits(new, old)
+
+    def test_im2col_backward_stays_on_the_calling_thread(self, monkeypatch):
+        # the Generator's output conv: its 2.25 MiB of columns at batch 16
+        # split its forward over 2 lanes, but its backward is one whole-batch
+        # _im2col and one _col2im in the caller, with no lane split
+        monkeypatch.setattr(ag, "_LANES", 2)
+        x_shape, w_shape = (16, 1, 64, 64), (1, 1, 3, 3)
+        assert (x_shape, w_shape, 1, 1) in TestConvAtModelShapes.SHAPES
+        assert not takes_taps(x_shape, w_shape, 1, 1)
+        assert ag._chunk(16, 64 * 64 * 9 * 4) == (2, 7)
+        rng = np.random.default_rng(7)
+        x, w, b = conv_inputs(rng, x_shape, w_shape, np.float32)
+        out = ag.conv2d(x, w, b, 1, 1)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        calls = []
+
+        def recording(name):
+            fn = getattr(ag, name)
+
+            def call(*args):
+                calls.append((name, threading.get_ident()))
+                return fn(*args)
+
+            monkeypatch.setattr(ag, name, call)
+
+        for name in ("_im2col", "_col2im", "_on_items", "_on_lanes"):
+            recording(name)
+        grads = out._backward(g)
+        caller = threading.get_ident()
+        assert calls == [("_im2col", caller), ("_col2im", caller)]
+        for new, old in zip(grads, reference_conv2d(x, w, b, 1, 1)[1](g)):
+            assert_same_bits(new, old)
 
     def test_no_grad_forward(self, monkeypatch):
         monkeypatch.setattr(ag, "_LANES", 3)
@@ -1227,10 +1253,10 @@ class TestGraphHoldsNoActivation:
 
     def test_conv_backward_reuses_its_column_matrix(self, monkeypatch):
         # both convs of the block are small enough to keep im2col's backward;
-        # at the default block each conv's batch is one chunk, at 1 byte it
-        # is one item per chunk, on 2 lanes
-        made, events, passes = [], [], []
-        im2col, col2im, on_items = ag._im2col, ag._col2im, ag._on_items
+        # at the default block each conv's forward is one chunk, at 1 byte it
+        # is one item per chunk, on 2 lanes; the backward is the same at both
+        made, events = [], []
+        im2col, col2im = ag._im2col, ag._col2im
 
         def recording_im2col(*args):
             cols = im2col(*args)
@@ -1242,21 +1268,10 @@ class TestGraphHoldsNoActivation:
             events.append(("col2im", span(dcols)))
             return col2im(dcols, *args)
 
-        def recording_on_items(fn, b, item_bytes):
-            chunks = []
-            passes.append((item_bytes, chunks))
-
-            def recording_fn(lane, k, j):
-                chunks.append((k, j))
-                return fn(lane, k, j)
-
-            on_items(recording_fn, b, item_bytes)
-
         monkeypatch.setattr(ag, "_LANES", 2)
         monkeypatch.setattr(ag, "_im2col", recording_im2col)
         monkeypatch.setattr(ag, "_col2im", recording_col2im)
-        monkeypatch.setattr(ag, "_on_items", recording_on_items)
-        for block_bytes, chunk_count in ((ag._BLOCK_BYTES, 1), (1, 4)):
+        for block_bytes in (ag._BLOCK_BYTES, 1):
             monkeypatch.setattr(ag, "_BLOCK_BYTES", block_bytes)
             root = conv_block(self.x, self.params, self.weights)[-1]
             forward = made[:]
@@ -1264,28 +1279,19 @@ class TestGraphHoldsNoActivation:
             assert [kind for kind, _ in events] == ["im2col"] * len(forward)  # the forward sums no dx
             made.clear()
             events.clear()
-            passes.clear()
             ag.backward(root)
-            # each conv, the second one first, rebuilds its columns a chunk at
-            # a time in an array of its own and then sums its dx a chunk at a
-            # time, writing the column gradient over the rebuilt columns: both
-            # cover that array exactly once, in the chunks _on_items gave
-            groups = [(kind, [s for _, s in group]) for kind, group in itertools.groupby(events, lambda e: e[0])]
-            assert [kind for kind, _ in groups] == ["im2col", "col2im"] * 2
+            # each conv, the second one first, rebuilds the whole batch's
+            # columns in one _im2col into an array of its own, then writes the
+            # column gradient over exactly that array in one _col2im
+            assert [kind for kind, _ in events] == ["im2col", "col2im"] * 2
             owners = []
-            for (_, built), (_, given), cin in zip(groups[::2], groups[1::2], (16, 3)):
+            for (_, built), (_, given), cols, cin in zip(events[::2], events[1::2], made, (16, 3), strict=True):
                 assert not takes_taps((4, cin, 12, 12), (16, cin, 3, 3), 1, 1)
                 item = 12 * 12 * cin * 9 * 4  # column bytes per batch item
-                rebuild, dx = [chunks for nbytes, chunks in passes if nbytes == item]
-                assert len(rebuild) == len(dx) == chunk_count
-                owner = next(cols.base for cols in made if span(cols)[0] == tiling(built)[0])
-                start = span(owner)[0]
-                assert sorted(built) == sorted((start + k * item, (j - k) * item) for k, j in rebuild)
-                assert sorted(given) == sorted((start + k * item, (j - k) * item) for k, j in dx)
-                assert tiling(built) == tiling(given) == (start, start + span(owner)[1]) == (start, start + 4 * item)
-                assert not any(np.shares_memory(owner, cols) for cols in forward)
-                owners.append(weakref.ref(owner))
-            del owner
+                assert built == given == span(cols.base) == (span(cols)[0], 4 * item)
+                assert not any(np.shares_memory(cols, f) for f in forward)
+                owners.append(weakref.ref(cols.base))
+            del cols
             made.clear()
             events.clear()
             assert [ref() is None for ref in owners] == [True, True]  # freed when its backward returned
@@ -1360,9 +1366,10 @@ class TestConvScratch:
     @pytest.mark.parametrize("x_shape, w_shape", [((8, 32, 32, 32), (32, 32, 3, 3)),
                                                   ((16, 3, 32, 32), (32, 3, 3, 3))], ids=["taps", "im2col"])
     def test_no_scratch_survives_backward_in_any_thread(self, monkeypatch, x_shape, w_shape):
-        # the backward runs on 2 lanes in a thread that lives on after it;
-        # once the output and gradients are dropped, the traced memory is
-        # back to where it was before the forward
+        # the backward runs at 2 lanes (the tap rule's dw and dx on both, the
+        # im2col rule's on the calling thread alone) in a thread that lives
+        # on after it; once the output and gradients are dropped, the traced
+        # memory is back to where it was before the forward
         monkeypatch.setattr(ag, "_LANES", 2)
         x, w, b = conv_inputs(np.random.default_rng(0), x_shape, w_shape, np.float32)
         g = np.ones((x_shape[0], w_shape[0]) + x_shape[2:], np.float32)

@@ -831,6 +831,19 @@ class TestNoTraceback:
         assert "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_empty_validation_split(self, small_dataset, tmp_path):
+        # no patch to score: the run would log NaN and name a best checkpoint it never wrote
+        data = copy_dataset(small_dataset, tmp_path / "data")
+        val = seisdata.load_split(data, "val")
+        seisdata.save_seis(data / "val.seis", seisdata.SeismicDataset(
+            val.targets[:0], val.degraded[:0], val.masks[:0], val.dt, val.dx, val.task))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(train_config(data, tmp_path / "out", epochs=1)))
+        proc = run_module(["train", "--config", str(config)])
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert "validation split" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [["--dx", "1e300"], ["--v-lo", "1e-300", "--v-hi", "1e-300"]],
                              ids=lambda flags: " ".join(flags))
     def test_gen_data_travel_time_past_int64(self, tmp_path, flags):

@@ -220,6 +220,14 @@ class TestTrainUnet:
         assert abs(l1_only - l1_tiny) < 1e-9
         assert com_off > 0 and com_tiny > 0
 
+    def test_empty_validation_split_rejected(self, lfe_data, tmp_path):
+        train, val = lfe_data
+        none = sd.SeismicDataset(val.targets[:0], val.degraded[:0], val.masks[:0], val.dt, val.dx, val.task)
+        model = mdl.UNet(mdl.UNetConfig(base_channels=4, patch_height=32, patch_width=32), init_seed=2)
+        with pytest.raises(ValueError, match="validation split has no patches"):
+            trainer.train_unet(model, train, none, TrainConfig(epochs=1, batch_size=8), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     def test_classical_twin_same_config(self, lfe_data, tmp_path):
         train, val = lfe_data
         model = mdl.UNet(mdl.UNetConfig(base_channels=4, quantum=False,
