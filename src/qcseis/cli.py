@@ -203,12 +203,12 @@ def cmd_train(args) -> int:
         raise ConfigError(f"task {train_set.task!r} needs model family {expected_family!r}, "
                           f"config says {family!r}")
 
-    # the networks are built and the resume checkpoint loaded and matched to their task, arch
-    # and runtime state before out_dir is made, so a bad model section or checkpoint leaves nothing behind
+    # the networks are built and the resume checkpoint loaded and matched to their task, arch, runtime
+    # state and epochs before out_dir is made, so a bad model section or checkpoint leaves nothing behind
     nets = _models(cfg["model"], train_set.patch_shape)
     resume = trainer.load_checkpoint(args.resume) if args.resume else None
     if resume is not None:
-        trainer.check_resume(resume, train_set.task, nets)
+        trainer.check_resume(resume, train_set.task, nets, tc.epochs)
     out_dir = Path(cfg["train"]["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "resolved_config.json", "w") as fh:

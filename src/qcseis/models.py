@@ -185,20 +185,9 @@ class QuantumConv(Module):
         self.cfg = cfg
         for i, circuit in enumerate(cfg.make_circuits()):
             setattr(self, f"circuit{i}_angles", Parameter(circuit.angles, trainable=False, dtype=np.float64))
-        self.layout = RandomCircuit.chain_layout(cfg.depth, cfg.n_qubits)
 
     def circuits(self):
-        return [
-            RandomCircuit(
-                index=i,
-                depth=self.cfg.depth,
-                n_qubits=self.cfg.n_qubits,
-                seed=self.cfg.seed,
-                angles=self._params[f"circuit{i}_angles"].data,
-                entangler_layout=self.layout,
-            )
-            for i in range(self.cfg.n_circuits)
-        ]
+        return [RandomCircuit(self._params[f"circuit{i}_angles"].data) for i in range(self.cfg.n_circuits)]
 
     def forward(self, x: Tensor) -> Tensor:
         return quantum_conv(x, self.circuits(), self.cfg)
@@ -300,8 +289,8 @@ class NetConfig:
     def __post_init__(self):
         if self.base_channels < 1:
             raise ValueError("need at least one base channel")
-        if not np.isfinite(self.quantum_fraction):
-            raise ValueError(f"quantum_fraction must be finite, got {self.quantum_fraction}")
+        if not 0.0 < self.quantum_fraction < 1.0:
+            raise ValueError(f"quantum_fraction must be inside (0, 1), got {self.quantum_fraction}")
 
 
 @dataclass

@@ -126,16 +126,14 @@ def _encode_rows(rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _observable(n_qubits: int, angles_bytes: bytes, layout: tuple) -> np.ndarray:
+def _observable(n_qubits: int, angles_bytes: bytes) -> np.ndarray:
     """Symmetric H with <Z_0> = a^T H a for every real input amplitude row a.
 
     Keyed by the circuit's content, not its identity: layers rebuild their
     circuits from angle buffers on every call, and restoring a checkpoint
     replaces those buffers. The bound holds every circuit of a GAN pair.
     """
-    angles = np.frombuffer(angles_bytes, dtype=np.float64).reshape(len(layout), n_qubits)
-    circuit = RandomCircuit(index=0, depth=len(layout), n_qubits=n_qubits, seed=0,
-                            angles=angles, entangler_layout=layout)
+    circuit = RandomCircuit(np.frombuffer(angles_bytes, dtype=np.float64).reshape(-1, n_qubits))
     obs = qsim.Observable(0)
     basis = np.eye(2 ** n_qubits)
     states = [qsim.QuantumState(n_qubits, row) for row in basis]
@@ -148,8 +146,7 @@ def _observable(n_qubits: int, angles_bytes: bytes, layout: tuple) -> np.ndarray
 
 def _observables(circuits) -> np.ndarray:
     """Every circuit's H stacked into one [K * 2^n, 2^n] matrix."""
-    return np.concatenate([_observable(c.n_qubits, c.angles.tobytes(), c.entangler_layout)
-                           for c in circuits])
+    return np.concatenate([_observable(c.n_qubits, c.angles.tobytes()) for c in circuits])
 
 
 # ---------------------------------------------------------------------------

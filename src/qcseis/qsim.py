@@ -82,39 +82,32 @@ def _circuit_angle(seed: int, index: int, layer: int, qubit: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RandomCircuit:
-    """Fixed, non-trainable gate program.
+    """Fixed, non-trainable gate program: a read-only [depth, n_qubits] angle matrix.
 
-    Each layer applies one y-rotation per qubit (angles frozen at
-    construction) followed by a chain of CNOTs restricted to adjacent
-    qubits. Identical (seed, index, depth, n_qubits) always reproduce
-    identical angles.
+    Layer l applies Ry(angles[l, q]) to every qubit q, then a chain of
+    CNOTs from qubit q to qubit q + 1 for q = 0 ... n_qubits - 2, in that
+    order. Identical (seed, index, depth, n_qubits) in `generate` always
+    reproduce identical angles.
     """
 
-    index: int
-    depth: int
-    n_qubits: int
-    seed: int
     angles: np.ndarray
-    entangler_layout: tuple
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("circuit depth must be non-negative")
-        angles = np.array(self.angles, dtype=np.float64, copy=True).reshape(self.depth, self.n_qubits)
+        angles = np.array(self.angles, dtype=np.float64, copy=True)
+        if angles.ndim != 2:
+            raise ValueError(f"circuit angles must be a [depth, n_qubits] matrix, got shape {angles.shape}")
         if not np.all(np.isfinite(angles)):
             raise ValueError("circuit angles must be finite")
         angles.setflags(write=False)
         object.__setattr__(self, "angles", angles)
-        layout = tuple(tuple((int(a), int(b)) for a, b in layer) for layer in self.entangler_layout)
-        if len(layout) != self.depth:
-            raise ValueError("entangler layout must have one entry per layer")
-        for layer in layout:
-            for a, b in layer:
-                _check_qubit(self.n_qubits, a)
-                _check_qubit(self.n_qubits, b)
-                if abs(a - b) != 1:
-                    raise ValueError(f"entangler pair ({a}, {b}) is not adjacent")
-        object.__setattr__(self, "entangler_layout", layout)
+
+    @property
+    def depth(self) -> int:
+        return self.angles.shape[0]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.angles.shape[1]
 
     @classmethod
     def generate(cls, seed: int, index: int, depth: int, n_qubits: int) -> "RandomCircuit":
@@ -123,12 +116,7 @@ class RandomCircuit:
         for layer in range(depth):
             for qubit in range(n_qubits):
                 angles[layer, qubit] = _circuit_angle(seed, index, layer, qubit)
-        return cls(index=index, depth=depth, n_qubits=n_qubits, seed=seed,
-                   angles=angles, entangler_layout=cls.chain_layout(depth, n_qubits))
-
-    @classmethod
-    def chain_layout(cls, depth: int, n_qubits: int) -> tuple:
-        return tuple(tuple((q, q + 1) for q in range(n_qubits - 1)) for _ in range(depth))
+        return cls(angles)
 
 
 @dataclass(frozen=True)
@@ -202,16 +190,16 @@ def encode(x) -> QuantumState:
 
 
 def run_circuit(state: QuantumState, circuit: RandomCircuit) -> QuantumState:
-    """Evolve a state through every layer of a fixed circuit."""
+    """Evolve a state through every layer of a fixed circuit: rotations, then the CNOT chain."""
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit acts on {circuit.n_qubits} qubits but the state has {state.n_qubits}"
         )
-    for layer in range(circuit.depth):
-        for qubit in range(circuit.n_qubits):
-            state = apply_ry(state, qubit, float(circuit.angles[layer, qubit]))
-        for control, target in circuit.entangler_layout[layer]:
-            state = apply_cnot(state, control, target)
+    for layer in circuit.angles:
+        for qubit, theta in enumerate(layer):
+            state = apply_ry(state, qubit, float(theta))
+        for qubit in range(circuit.n_qubits - 1):
+            state = apply_cnot(state, qubit, qubit + 1)
     return state
 
 

@@ -225,18 +225,16 @@ def save_checkpoint(path, task: str, model_map: dict, optimizer_map: dict,
     Layout (little-endian): magic "QCKP", version u32, config-JSON length
     u32 + bytes, entry count u32, then per entry: name length u16 + UTF-8
     name, rank u8, dims u64 x rank, dtype tag u8 (0 = f32, 1 = f64), raw
-    data. The config JSON carries the architecture blob, training config,
-    circuit layouts, and runtime state (epoch, RNG, history). An
-    existing file at `path` is replaced only once the new one is complete.
+    data. The config JSON carries the architecture blob, training config
+    and runtime state (epoch, RNG, history). An existing file at `path` is
+    replaced only once the new one is complete.
     """
     arch = {role: m.arch_config() for role, m in model_map.items()}
-    layouts = {role: _collect_layouts(m) for role, m in model_map.items()}
     config = {
         "format": _QCKP_VERSION,
         "task": task,
         "arch": arch,
         "train": asdict(train_cfg),
-        "layouts": layouts,
         "runtime": runtime,
     }
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
@@ -264,17 +262,6 @@ def save_checkpoint(path, task: str, model_map: dict, optimizer_map: dict,
                 fh.write(struct.pack("<Q", dim))
             fh.write(struct.pack("<B", tag))
             fh.write(raw.tobytes())
-
-
-def _collect_layouts(model: mdl.Module) -> list:
-    layouts = []
-    stack = [model]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, mdl.QuantumConv):
-            layouts.append([list(map(list, layer)) for layer in node.layout])
-        stack.extend(node._modules.values())
-    return layouts
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -382,10 +369,11 @@ def _load_runtime(ckpt: Checkpoint):
     return rng, history, epoch, best_val
 
 
-def check_resume(ckpt: Checkpoint, task: str, models: dict):
+def check_resume(ckpt: Checkpoint, task: str, models: dict, epochs: int):
     """`_load_runtime(ckpt)`, after checking that the checkpoint was trained on `task`, that its
     arch matches that of `models`, role by role, and that it holds every parameter and Adam entry
-    of each role in its shape, so loading them cannot fail. Raises CheckpointError at the first misfit."""
+    of each role in its shape, so loading them cannot fail. Raises CheckpointError at the first
+    misfit, and ValueError when the checkpoint has reached `epochs`, leaving no epoch to train."""
     ckpt.require_task(task)
     ckpt.require_arch({role: m.arch_config() for role, m in models.items()})
     for role, m in models.items():
@@ -394,7 +382,11 @@ def check_resume(ckpt: Checkpoint, task: str, models: dict):
                 _shaped_entry(ckpt, key, p.shape)
         _count_entry(ckpt, f"adam.{role}.step")
         _count_entry(ckpt, f"adam.{role}.skipped")
-    return _load_runtime(ckpt)
+    rng, history, epoch, best_val = _load_runtime(ckpt)
+    if epoch >= epochs:
+        raise ValueError(f"checkpoint is at epoch {epoch}, at or past train.epochs = {epochs}: "
+                         f"nothing is left to train")
+    return rng, history, epoch, best_val
 
 
 def _write_history(path, rows) -> None:
@@ -481,7 +473,7 @@ def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val
     start_epoch = 0
     best_val = float("inf")
     if resume is not None:
-        order_rng, history, start_epoch, best_val = check_resume(resume, task, models)
+        order_rng, history, start_epoch, best_val = check_resume(resume, task, models, cfg.epochs)
         for role, m in models.items():
             load_model_state(m, resume, role)
         for role, opt in opts.items():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qcseis
-from qcseis import cli, qsim, seisdata, trainer
+from qcseis import cli, models, qsim, seisdata, trainer
 from qcseis.selftest import run_selftest
 
 
@@ -174,6 +174,8 @@ class TestConfigSchema:
         ("qcgan", "model", "circuit_depth", -1),
         ("qcgan", "model", "blocks", 6),  # 32x32 patches cannot be pooled 5 times
         ("qcgan", "model", "quantum_fraction", float("nan")),
+        ("qcgan", "model", "quantum_fraction", 0.0),
+        ("qcgan", "model", "quantum_fraction", 1.5),
         ("qcgan", "model", "input_scale", float("inf")),
     ]
 
@@ -293,6 +295,15 @@ class TestTrainCommand:
         history = (out_dir / "history.csv").read_text().splitlines()
         epochs_logged = {row.split(",")[0] for row in history[1:]}
         assert epochs_logged == {"1", "2"}
+
+    def test_resume_of_a_finished_run_exits_config(self, trained, small_dataset, tmp_path):
+        # `trained` ran its 1 epoch; resuming it for 1 epoch would write nothing but name its files
+        config = tmp_path / "again.json"
+        config.write_text(json.dumps(train_config(small_dataset, tmp_path / "out", epochs=1)))
+        proc = run_module(["train", "--config", str(config), "--resume", str(trained)])
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert "checkpoint is at epoch 1, at or past train.epochs = 1" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_quantum_twin_configs_differ_by_one_flag(self, small_dataset, tmp_path, capsys):
         for quantum in (True, False):
@@ -551,8 +562,22 @@ def unet_trained(lfe_dataset, tmp_path_factory):
 RETIRED = {"generator": {"upsample_factor": 2}, "unet": {"levels": 3}}
 
 
+def old_layouts(arch) -> list:
+    """The `layouts` of one role as older versions recorded them: per quantum layer,
+    per circuit layer, the CNOT pairs [q, q + 1] of the chain."""
+    chain = [[q, q + 1] for q in range(arch["config"]["n_qubits"] - 1)]
+    stack, layouts = [models.build_model(arch)], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, models.QuantumConv):
+            layouts.append([chain] * arch["config"]["circuit_depth"])
+        stack.extend(node._modules.values())
+    return layouts
+
+
 def with_retired_fields(blob):
     config = json.loads(blob)
+    config["layouts"] = {role: old_layouts(arch) for role, arch in config["arch"].items()}
     for arch in config["arch"].values():
         arch["config"].update(RETIRED.get(arch["family"], {}))
     return json.dumps(config, sort_keys=True).encode()
@@ -609,8 +634,10 @@ class TestArchCompatibility:
         current, data = (trained, small_dataset) if family == "qcgan" else (unet_trained, lfe_dataset)
         older = tmp_path / "older.qckp"
         older.write_bytes(replace_blob(current.read_bytes(), with_retired_fields))
-        stored = trainer.load_checkpoint(older).config["arch"]["generator" if family == "qcgan" else "model"]
+        config = trainer.load_checkpoint(older).config
+        stored = config["arch"]["generator" if family == "qcgan" else "model"]
         assert RETIRED[stored["family"]].items() <= stored["config"].items()
+        assert all(config["layouts"].values())  # a chain for every quantum layer of every role
         outputs = []
         for name, ckpt in (("current", current), ("older", older)):
             report = tmp_path / f"{name}.csv"

@@ -25,13 +25,14 @@ def dense_cnot(control: int, target: int, n: int) -> np.ndarray:
 
 
 def dense_circuit_unitary(circuit: RandomCircuit) -> np.ndarray:
-    n = circuit.n_qubits
+    """Each layer: Ry(angle) on every qubit, then CNOT q -> q + 1 for q = 0 .. n - 2."""
+    depth, n = circuit.angles.shape
     unitary = np.eye(2 ** n)
-    for layer in range(circuit.depth):
+    for layer in range(depth):
         for q in range(n):
             unitary = dense_single_qubit(RY(circuit.angles[layer, q]), q, n) @ unitary
-        for c, t in circuit.entangler_layout[layer]:
-            unitary = dense_cnot(c, t, n) @ unitary
+        for q in range(n - 1):
+            unitary = dense_cnot(q, q + 1, n) @ unitary
     return unitary
 
 
@@ -170,9 +171,7 @@ class TestRunCircuit:
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_zero_angles_full_chain_on_ground_state(self):
-        layout = RandomCircuit.chain_layout(1, 4)
-        circuit = RandomCircuit(index=0, depth=1, n_qubits=4, seed=0,
-                                angles=np.zeros((1, 4)), entangler_layout=layout)
+        circuit = RandomCircuit(np.zeros((1, 4)))
         out = qsim.run_circuit(qsim.zero_state(4), circuit)
         assert abs(out.amplitudes[0] - 1) < 1e-14
 
@@ -295,10 +294,10 @@ class TestInvariants:
         c = RandomCircuit.generate(seed=123, index=3, depth=2, n_qubits=4)
         assert not np.array_equal(a.angles, c.angles)
 
-    def test_adjacency_enforced(self):
-        with pytest.raises(ValueError):
-            RandomCircuit(index=0, depth=1, n_qubits=4, seed=0,
-                          angles=np.zeros((1, 4)), entangler_layout=(((0, 2),),))
+    def test_angles_must_be_a_matrix(self):
+        for angles in (np.zeros(4), np.zeros((1, 2, 2)), 0.0):
+            with pytest.raises(ValueError, match=r"\[depth, n_qubits\] matrix"):
+                RandomCircuit(angles)
 
     def test_angles_frozen(self):
         circuit = RandomCircuit.generate(seed=1, index=0, depth=2, n_qubits=4)

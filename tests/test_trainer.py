@@ -482,10 +482,10 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
     owns columns `_im2col` built outside backward must be dead (without a gc
     pass) when backward starts. Backward must take each conv that `_by_taps`
     picks one kernel tap at a time, with no `_im2col` call, and rebuild the
-    columns of every other conv, a chunk of items per `_im2col` call, in an
-    array of that conv's own, the chunks covering it exactly once; none of
-    those arrays may outlive backward. Once backward returns, no node of the
-    graph may still hold a gradient or a rule (with the arrays it saved).
+    columns of every other conv in one whole-batch `_im2col` call that fills
+    an array of that conv's own; none of those arrays may outlive backward.
+    Once backward returns, no node of the graph may still hold a gradient or
+    a rule (with the arrays it saved).
     Returns the number of convs differentiated per backward call.
     """
     made, rebuilt, tap_calls, checked = [], [], [], []
@@ -497,12 +497,10 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
 
     def recording_im2col(*args):
         cols = im2col(*args)
-        if not in_backward.is_set():
+        if in_backward.is_set():
+            rebuilt.append((weakref.ref(cols.base), span(cols), span(cols.base)))
+        else:
             made.append(weakref.ref(cols.base))
-        elif rebuilt and rebuilt[-1][0]() is cols.base:
-            rebuilt[-1][1].append(span(cols))
-        else:  # the first chunk of the next conv
-            rebuilt.append((weakref.ref(cols.base), [span(cols)], span(cols.base)))
         return cols
 
     def counting_tap_backward(*args):
@@ -531,10 +529,8 @@ def checked_backward_run(monkeypatch, train_fn) -> list:
             in_backward.clear()
         assert len(tap_calls) == sum(by_taps)
         assert len(rebuilt) == len(convs) - sum(by_taps)
-        for owner, chunks, (start, nbytes) in rebuilt:
-            chunks.sort()
-            assert all(s0 + n0 == s1 for (s0, n0), (s1, _) in zip(chunks, chunks[1:]))
-            assert (chunks[0][0], sum(n for _, n in chunks)) == (start, nbytes)
+        for owner, cols, whole in rebuilt:
+            assert cols == whole  # one span, equal to its owner's
             assert owner() is None
         rebuilt.clear()
         tap_calls.clear()
