@@ -166,10 +166,9 @@ def cmd_gen_data(args) -> int:
     seed = _env_seed(args.seed)
     # lfe defaults: coarser sampling and the low-frequency source wavelet
     dt = args.dt if args.dt is not None else (0.016 if args.task == "lfe" else 0.004)
-    if args.f0_lo is None or args.f0_hi is None:
-        f0 = (7.0, 7.0) if args.task == "lfe" else _F0_DEFAULTS
-    else:
-        f0 = (args.f0_lo, args.f0_hi)
+    # each f0 bound falls back to the task's default on its own
+    f0_defaults = (7.0, 7.0) if args.task == "lfe" else (15.0, 45.0)
+    f0 = tuple(d if v is None else v for v, d in zip((args.f0_lo, args.f0_hi), f0_defaults))
     spec = seisdata.DegradationSpec(task=args.task, noise_sigma=args.noise_sigma, seed=seed)
     paths = seisdata.build_dataset(
         spec, args.n, (args.height, args.width), args.out,
@@ -305,9 +304,6 @@ def cmd_selftest(args) -> int:
 # parser
 
 
-_F0_DEFAULTS = (15.0, 45.0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcseis",
                                      description="quantum-classical seismic restoration toolkit")
@@ -325,8 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n-events", type=int, default=4)
     gen.add_argument("--noise-sigma", type=float, default=0.1)
     gen.add_argument("--f0-lo", type=float, default=None,
-                     help="wavelet frequency range low end (task-dependent default)")
-    gen.add_argument("--f0-hi", type=float, default=None)
+                     help="wavelet frequency range low end (default 7 Hz for lfe, else 15 Hz)")
+    gen.add_argument("--f0-hi", type=float, default=None,
+                     help="wavelet frequency range high end (default 7 Hz for lfe, else 45 Hz); "
+                          "each bound defaults on its own")
     gen.add_argument("--v-lo", type=float, default=1500.0)
     gen.add_argument("--v-hi", type=float, default=4000.0)
     gen.set_defaults(func=cmd_gen_data)

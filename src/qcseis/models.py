@@ -1,12 +1,15 @@
 """Network assemblies: dual-pathway GAN generator/discriminator and UNet.
 
 Every architecture comes in a quantum-on and a quantum-off (classical
-twin) variant. In the quantum variant each fusion site splits its input
-channels, runs a classical convolutional path next to the quantum feature
-layer, and concatenates the two; the classical twin routes the whole
-partition through the convolutional path instead. Each forward pass
-keeps its pre-concatenation feature pairs on the network, for the
-complementarity loss.
+twin) variant, and every family builds its fusion sites from one
+definition: `_quantum_site` sizes a site and builds its quantum layer,
+checking the site's quantum settings in either variant, and `_fuse` runs
+it. In the quantum variant a site splits its input channels, runs its
+classical path (the GAN block's residual conv units, the identity at the
+UNet bottleneck) next to the quantum feature layer, and concatenates the
+two; the classical twin routes the whole map through the classical path
+instead. Each forward pass keeps its pre-concatenation feature pairs on
+the network, for the complementarity loss.
 
 The three families share one design, declared once: `NetConfig` holds
 the settings and defaults they have in common (width, quantum split,
@@ -206,69 +209,62 @@ class ConvUnit(Module):
         return self.act(self.bn(self.conv(x)))
 
 
-class HybridResidualBlock(Module):
-    """Channel-split block: residual conv path beside the quantum path.
+def _quantum_site(cfg, channels: int, site_seed: int):
+    """(classical channels, quantum layer or None, concatenated width) of a fusion site over `channels`.
 
-    The classical partition goes through three conv units with an additive
-    skip; the quantum partition (when enabled) goes through the quantum
-    layer. The two maps are concatenated channel-wise and optionally fused
-    back to the block width by a 1x1 conv. The pre-concatenation pair is
-    kept on `self.pair` until the network that runs the block collects it.
+    The site's quantum settings are checked for the classical twin too, so
+    a twin rejects what its quantum build rejects.
+    """
+    qcfg = QuantumLayerConfig(n_qubits=cfg.n_qubits, n_circuits=cfg.n_circuits, depth=cfg.circuit_depth,
+                              seed=site_seed, input_scale=cfg.input_scale)
+    if not cfg.quantum:
+        return channels, None, channels
+    q = min(max(int(round(channels * cfg.quantum_fraction)), 1), channels - 1)
+    if not 0 < q < channels:
+        raise ValueError(f"quantum partition {q} must be inside (0, {channels})")
+    return channels - q, QuantumConv(qcfg), channels - q + cfg.n_circuits
+
+
+def _fuse(x: Tensor, classical_channels: int, qconv, classical):
+    """(fused map, (classical, quantum) pair or None) of one fusion site.
+
+    The first `classical_channels` channels go through `classical`, the
+    rest through `qconv`, and the two maps are concatenated; with no
+    quantum layer the whole map goes through `classical`.
+    """
+    if qconv is None:
+        return classical(x), None
+    xc, xq = ag.split_channels(x, classical_channels)
+    q = qconv(xq)
+    r = classical(xc)
+    return ag.concat_channels(r, q), (r, q)
+
+
+class HybridResidualBlock(Module):
+    """A fusion site whose classical path is three conv units with an additive skip.
+
+    The concatenated map is optionally fused back to the block width by a
+    1x1 conv. The pre-concatenation pair is kept on `self.pair` until the
+    network that runs the block collects it.
     """
 
-    def __init__(self, channels, quantum_channels, qcfg, rng, quantum=True, fuse=True, dtype=np.float32):
+    def __init__(self, cfg, site_seed: int, rng, fuse=True, dtype=np.float32):
         super().__init__()
-        self.quantum = quantum
-        if quantum:
-            if not 0 < quantum_channels < channels:
-                raise ValueError(
-                    f"quantum partition {quantum_channels} must be inside (0, {channels})"
-                )
-            self.classical_channels = channels - quantum_channels
-            self.qconv = QuantumConv(qcfg)
-            concat_channels = self.classical_channels + qcfg.n_circuits
-        else:
-            self.classical_channels = channels
-            concat_channels = channels
+        channels = cfg.base_channels
+        self.classical_channels, self.qconv, concat_channels = _quantum_site(cfg, channels, site_seed)
         self.unit1 = ConvUnit(self.classical_channels, self.classical_channels, rng, dtype=dtype)
         self.unit2 = ConvUnit(self.classical_channels, self.classical_channels, rng, dtype=dtype)
         self.unit3 = ConvUnit(self.classical_channels, self.classical_channels, rng, dtype=dtype)
         self.out_channels = channels if fuse else concat_channels
-        if fuse:
-            self.fuse = Conv2d(concat_channels, channels, 1, rng, dtype=dtype)
-        else:
-            self.fuse = None
+        self.fuse = Conv2d(concat_channels, channels, 1, rng, dtype=dtype) if fuse else None
         self.pair = None
 
+    def _residual(self, xc: Tensor) -> Tensor:
+        return ag.add(xc, self.unit3(self.unit2(self.unit1(xc))))
+
     def forward(self, x: Tensor) -> Tensor:
-        if self.quantum:
-            xc, xq = ag.split_channels(x, self.classical_channels)
-            q = self.qconv(xq)
-        else:
-            xc, q = x, None
-        r = ag.add(xc, self.unit3(self.unit2(self.unit1(xc))))
-        if self.quantum:
-            self.pair = (r, q)
-            out = ag.concat_channels(r, q)
-        else:
-            self.pair = None
-            out = r
+        out, self.pair = _fuse(x, self.classical_channels, self.qconv, self._residual)
         return self.fuse(out) if self.fuse is not None else out
-
-
-def _quantum_partition(channels: int, fraction: float) -> int:
-    q = int(round(channels * fraction))
-    return min(max(q, 1), channels - 1)
-
-
-def _layer_qcfg(cfg, site_seed: int) -> QuantumLayerConfig:
-    return QuantumLayerConfig(
-        n_qubits=cfg.n_qubits,
-        n_circuits=cfg.n_circuits,
-        depth=cfg.circuit_depth,
-        seed=site_seed,
-        input_scale=cfg.input_scale,
-    )
 
 
 @dataclass
@@ -373,17 +369,12 @@ class _DualPath(_Network):
     def __init__(self, cfg, rng, dtype, seed_offset: int, fuse_last: bool):
         super().__init__(cfg)
         c0 = cfg.base_channels
-        qch = _quantum_partition(c0, cfg.quantum_fraction)
         self.stem = Conv2d(1, c0, 3, rng, stride=2, padding=1, dtype=dtype)
         self.stem_act = PReLU(c0, dtype=dtype)
         self.blocks = ModuleList(
-            [
-                HybridResidualBlock(
-                    c0, qch, _layer_qcfg(cfg, cfg.circuit_seed + seed_offset + l), rng,
-                    quantum=cfg.quantum, fuse=fuse_last or l < cfg.blocks - 1, dtype=dtype,
-                )
-                for l in range(cfg.blocks)
-            ]
+            [HybridResidualBlock(cfg, cfg.circuit_seed + seed_offset + l, rng,
+                                 fuse=fuse_last or l < cfg.blocks - 1, dtype=dtype)
+             for l in range(cfg.blocks)]
         )
 
     def _trunk(self, x: Tensor, pool: bool):
@@ -458,9 +449,10 @@ class DoubleConv(Module):
 class UNet(_Network):
     """3-level encoder/decoder with skip connections and a quantum bottleneck.
 
-    The bottleneck feature map is split; the quantum partition goes through
-    the quantum layer and is concatenated back, mirroring the dual-path
-    blocks of the GAN. The quantum-off flag yields the classical UNet.
+    The bottleneck is a fusion site whose classical path is the identity:
+    its quantum partition goes through the quantum layer and is
+    concatenated back, then a 1x1 conv fuses the map. The quantum-off flag
+    yields the classical UNet.
     """
 
     family = "unet"
@@ -478,13 +470,7 @@ class UNet(_Network):
         self.enc2 = DoubleConv(c0, 2 * c0, rng, dtype=dtype)
         self.enc3 = DoubleConv(2 * c0, 4 * c0, rng, dtype=dtype)
         self.bottleneck = DoubleConv(4 * c0, cb, rng, dtype=dtype)
-        if cfg.quantum:
-            self.q_channels = _quantum_partition(cb, cfg.quantum_fraction)
-            self.qconv = QuantumConv(_layer_qcfg(cfg, cfg.circuit_seed + 2000))
-            fuse_in = cb - self.q_channels + cfg.n_circuits
-        else:
-            self.q_channels = 0
-            fuse_in = cb
+        self.classical_channels, self.qconv, fuse_in = _quantum_site(cfg, cb, cfg.circuit_seed + 2000)
         self.fuse = Conv2d(fuse_in, cb, 1, rng, dtype=dtype)
         self.up3 = Conv2d(cb, 4 * c0, 3, rng, padding=1, dtype=dtype)
         self.dec3 = DoubleConv(8 * c0, 4 * c0, rng, dtype=dtype)
@@ -498,18 +484,12 @@ class UNet(_Network):
         e1 = self.enc1(x)
         e2 = self.enc2(ag.maxpool2d(e1, 2))
         e3 = self.enc3(ag.maxpool2d(e2, 2))
-        b = self.bottleneck(ag.maxpool2d(e3, 2))
-        pairs = []
-        if self.cfg.quantum:
-            bc, bq = ag.split_channels(b, b.shape[1] - self.q_channels)
-            q = self.qconv(bq)
-            pairs.append((bc, q))
-            b = ag.concat_channels(bc, q)
+        b, pair = _fuse(self.bottleneck(ag.maxpool2d(e3, 2)), self.classical_channels, self.qconv, lambda bc: bc)
         b = self.fuse(b)
         d3 = self.dec3(ag.concat_channels(self.up3(ag.nearest_upsample(b, (2, 2))), e3))
         d2 = self.dec2(ag.concat_channels(self.up2(ag.nearest_upsample(d3, (2, 2))), e2))
         d1 = self.dec1(ag.concat_channels(self.up1(ag.nearest_upsample(d2, (2, 2))), e1))
-        self._pairs = pairs
+        self._pairs = [] if pair is None else [pair]
         return self.out_conv(d1)
 
 

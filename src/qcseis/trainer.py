@@ -449,11 +449,14 @@ def _fmt(value) -> str:
 
 def check_train_split(train_set: SeismicDataset, val_set: SeismicDataset) -> None:
     """Raise ValueError unless the training split fills one batch (batch
-    statistics need 2 patches) and the validation split has a patch to score."""
+    statistics need 2 patches) and the validation split has a patch to
+    score, of the training split's shape."""
     if len(train_set) < 2:
         raise ValueError(f"training split needs at least 2 patches, got {len(train_set)}")
     if len(val_set) == 0:
         raise ValueError("validation split has no patches")
+    if val_set.patch_shape != train_set.patch_shape:
+        raise ValueError(f"validation patches are {val_set.patch_shape}, training patches {train_set.patch_shape}")
 
 
 def _fit(task, models: dict, opts: dict, step_fn, train_set: SeismicDataset, val_set: SeismicDataset,

@@ -102,6 +102,11 @@ class TestGenData:
         assert f"seed must be >= 0, got {value}" in proc.stderr
         assert not (tmp_path / "d").exists()
 
+    def test_lone_f0_bound_keeps_the_other_default(self, tmp_path):
+        assert run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "d"),
+                        "--n", "10", "--height", "8", "--width", "8", "--f0-lo", "30"]) == 0
+        assert json.loads((tmp_path / "d" / "dataset.json").read_text())["f0_range"] == [30.0, 45.0]
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QCSEIS_SEED", "77")
         run_cli(["gen-data", "--task", "denoise", "--out", str(tmp_path / "a"),
@@ -833,6 +838,7 @@ class TestNoTraceback:
         ["--dt", "nan"],
         ["--f0-lo", "0", "--f0-hi", "0"],
         ["--f0-lo", "1e-12", "--f0-hi", "1e-12"],
+        ["--f0-hi", "10"],  # the low end keeps its default, 15 Hz
         ["--n-events", "0"],
         ["--task", "lfe", "--dt", "0.5"],  # the 5-10 Hz input band is above Nyquist
         ["--noise-sigma", "1e39"],  # overflows float32: the splits hold non-finite samples
@@ -844,6 +850,21 @@ class TestNoTraceback:
         assert_exit(proc, cli.EXIT_CONFIG)
         assert "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "d").exists()
+
+    def test_validation_split_of_another_patch_size(self, lfe_dataset, tmp_path):
+        # the UNet cannot run 36x36: the run would train an epoch, then fail validating
+        data = copy_dataset(lfe_dataset, tmp_path / "data")
+        val = seisdata.load_split(data, "val")
+        pad = ((0, 0), (0, 4), (0, 4))
+        seisdata.save_seis(data / "val.seis", seisdata.SeismicDataset(
+            np.pad(val.targets, pad), np.pad(val.degraded, pad), np.pad(val.masks, pad[:2], constant_values=1),
+            val.dt, val.dx, val.task))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(unet_config(data, tmp_path / "out")))
+        proc = run_module(["train", "--config", str(config)])
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert "validation patches are (36, 36), training patches (32, 32)" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_train_split_of_one_patch(self, small_dataset, tmp_path):
         # one patch fills no batch: batch statistics need two

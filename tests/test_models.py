@@ -1,4 +1,6 @@
 """Model assembly tests: shape contracts, twins, gradient flow, pairs."""
+import dataclasses
+import functools
 import hashlib
 import itertools
 
@@ -280,6 +282,26 @@ class TestComplementarityPairs:
             assert classical.shape[2:] == quantum.shape[2:]
 
 
+class TestFusionSite:
+    @pytest.mark.parametrize("model_cls, make_cfg", [
+        (mdl.Generator, small_gen_cfg),
+        (mdl.Discriminator, small_disc_cfg),
+        (mdl.UNet, small_unet_cfg),
+    ], ids=["generator", "discriminator", "unet"])
+    @pytest.mark.parametrize("quantum", [True, False], ids=["quantum", "twin"])
+    def test_out_of_range_qubits_rejected(self, model_cls, make_cfg, quantum):
+        """A classical twin checks its quantum settings as its quantum build does."""
+        with pytest.raises(ValueError, match="n_qubits must be in"):
+            model_cls(dataclasses.replace(make_cfg(quantum), n_qubits=0))
+
+    def test_one_channel_leaves_no_partition(self):
+        cfg = mdl.DiscriminatorConfig(blocks=2, base_channels=1, patch_height=32, patch_width=32)
+        with pytest.raises(ValueError, match=r"quantum partition 0 must be inside \(0, 1\)"):
+            mdl.Discriminator(cfg)
+        # the twin routes its one channel through the classical path
+        assert mdl.Discriminator(dataclasses.replace(cfg, quantum=False)).blocks[0].classical_channels == 1
+
+
 class TestParameterBookkeeping:
     # (entry count, sha256 over each entry's name, dtype and bytes), recorded before the GAN
     # networks shared a trunk; construction runs no BLAS, so these hold on every machine
@@ -290,10 +312,17 @@ class TestParameterBookkeeping:
          111, "f9dbc44f84aa974d08fd4ef9d11e375d78a1440baf4ff4f3981e0d6013c2a854"),
         (mdl.UNet, mdl.UNetConfig, 0,
          112, "80e79506e9fa066e19e662fc577d33735b38b88f3075e148ea23cf930453a455"),
+        # the classical twins, recorded before both families built their fusion sites from one definition
+        (mdl.Generator, functools.partial(mdl.GeneratorConfig, quantum=False), 0,
+         99, "52db8e041c6ed3460383a96ee9631c5ff802a8e608400bf4d4bd9627dd86219a"),
+        (mdl.Discriminator, functools.partial(mdl.DiscriminatorConfig, quantum=False), 1,
+         95, "afbaabb7759dfbfb46ed3abe2964e0f735ca41c0df3eab73db153dd74a369903"),
+        (mdl.UNet, functools.partial(mdl.UNetConfig, quantum=False), 0,
+         108, "c215a12c49b6189d21d9e970966a0d5248b4ae6f0f687c735ad4a1e85d935e63"),
     ]
+    BUILD_IDS = ["generator", "discriminator", "unet", "generator-twin", "discriminator-twin", "unet-twin"]
 
-    @pytest.mark.parametrize("model_cls, cfg_cls, init_seed, count, digest", DEFAULT_BUILDS,
-                             ids=["generator", "discriminator", "unet"])
+    @pytest.mark.parametrize("model_cls, cfg_cls, init_seed, count, digest", DEFAULT_BUILDS, ids=BUILD_IDS)
     def test_default_construction_pinned(self, model_cls, cfg_cls, init_seed, count, digest):
         """Entry names and initial values: a reordered rng draw or a renamed checkpoint entry fails."""
         entries = list(model_cls(cfg_cls(), init_seed=init_seed).named_parameters())
@@ -304,8 +333,7 @@ class TestParameterBookkeeping:
             h.update(p.data.tobytes())
         assert (len(entries), h.hexdigest()) == (count, digest)
 
-    @pytest.mark.parametrize("model_cls, cfg_cls", [build[:2] for build in DEFAULT_BUILDS],
-                             ids=["generator", "discriminator", "unet"])
+    @pytest.mark.parametrize("model_cls, cfg_cls", [build[:2] for build in DEFAULT_BUILDS], ids=BUILD_IDS)
     def test_parameters_are_tensors(self, model_cls, cfg_cls):
         """A parameter is its own tensor, and `trainable` is its `requires_grad`, stored once."""
         entries = list(model_cls(cfg_cls()).named_parameters())

@@ -228,6 +228,16 @@ class TestTrainUnet:
             trainer.train_unet(model, train, none, TrainConfig(epochs=1, batch_size=8), tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    def test_validation_split_of_another_patch_size_rejected(self, lfe_data, tmp_path):
+        train, val = lfe_data
+        pad = ((0, 0), (0, 4), (0, 4))
+        wide = sd.SeismicDataset(np.pad(val.targets, pad), np.pad(val.degraded, pad),
+                                 np.pad(val.masks, pad[:2], constant_values=1), val.dt, val.dx, val.task)
+        model = mdl.UNet(mdl.UNetConfig(base_channels=4, patch_height=32, patch_width=32), init_seed=2)
+        with pytest.raises(ValueError, match=r"validation patches are \(36, 36\), training patches \(32, 32\)"):
+            trainer.train_unet(model, train, wide, TrainConfig(epochs=1, batch_size=8), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     def test_classical_twin_same_config(self, lfe_data, tmp_path):
         train, val = lfe_data
         model = mdl.UNet(mdl.UNetConfig(base_channels=4, quantum=False,
