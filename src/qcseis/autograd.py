@@ -10,23 +10,23 @@ through numpy's fixed pairwise order, so results are bit-identical across
 runs and worker counts. Convolution is im2col plus GEMM (Chellapilla, Puri
 & Simard 2006); col2im sums each input element's kernel taps in a fixed
 (i, j) order from zero. Ops use more than one core through the worker
-threads (lanes) of a standard thread pool that starts with the first call
-that splits; the calling thread is lane 0. Work is split three ways, each
-with the reason it is separate. _on_items is the one split of a batch: a
-contiguous run of chunks of whole items (about _BLOCK_BYTES each) per
-lane, or one call on the calling thread when the whole batch fits in one
-chunk. Every per-item pass on the lanes goes through it: conv's forward
-and its tap rule's dx, and the elementwise and per-item passes of batch
-norm, PReLU, max-pool and the upsample backward, each writing into
-full-size arrays the calling thread allocates. The tap rule's dw
-(_tap_backward) splits kernel taps, not items, over at most _TAP_LANES
-lanes, because each tap's GEMM spans the whole batch. The quantum layer
-(qlayer._on_window_chunks) splits windows on a fixed grid from window 0,
-because an even split per lane would move GEMM tails. In every op only
-whole-batch reductions span items (conv's dw and db; batch norm's mean,
-variance and the sums behind dγ, dβ and dx; PReLU's dα): each is one call
-in the calling thread over an array with the values and memory order it
-has on one lane, so the lane count never changes a bit.
+threads (lanes) of a standard thread pool, made once by the first call
+that splits; the calling thread is lane 0. _on_items is the one
+dispatcher of every chunked pass: a contiguous run of chunks (about
+_BLOCK_BYTES each) per lane, or one call on the calling thread when the
+work fits in one chunk. Conv's forward and its tap rule's dx, and the
+elementwise and per-item passes of batch norm, PReLU, max-pool and the
+upsample backward hand it a batch's whole items, each writing into
+full-size arrays the calling thread allocates. The quantum layer
+(qlayer._on_window_chunks) hands it chunks of windows cut on a fixed grid
+from window 0, because an even split of the windows per lane would move
+GEMM tails. Only the tap rule's dw (_tap_backward) splits otherwise: kernel
+taps, not items, over at most _TAP_LANES lanes, because each tap's GEMM
+spans the whole batch. In every op only whole-batch reductions span items
+(conv's dw and db; batch norm's mean, variance and the sums behind dγ, dβ
+and dx; PReLU's dα): each is one call in the calling thread over an array
+with the values and memory order it has on one lane, so the lane count
+never changes a bit.
 The graph is made of small nodes, one per recorded tensor, that hold no
 output data: only what each rule saves is kept, so an activation no rule
 reads is freed during the forward pass as soon as Python drops it. The
@@ -341,7 +341,7 @@ def backward(root: Tensor) -> None:
 # two lanes spend their time handing the GIL back and forth. On that Xeon
 # (batch 16, float32) that im2col took 68 ms on one lane and 76 ms on two at
 # 256 KiB, 63 ms and 36 ms at 1 MiB. The quantum layer sizes its window chunks
-# by it too (qlayer._on_window_chunks).
+# by it too (qlayer._on_window_chunks), and hands _on_items one chunk per item.
 _BLOCK_BYTES = 1024 * 1024
 
 
@@ -383,18 +383,18 @@ def _col2im(dcols: np.ndarray, dxn: np.ndarray, kh: int, kw: int, stride: int) -
             dxn[:, i : i + hend : stride, j : j + wend : stride] += dwin[..., i, j]
 
 
-# CPUs this process may run on, read once: _on_items splits each batch into
-# this many runs of chunks at most, one per lane, as conv's tap rule does its
-# kernel taps and the quantum layer its window chunks.
+# CPUs this process may run on, read once: _on_items splits its chunks into
+# this many runs at most, one per lane, as conv's tap rule does its kernel
+# taps, so the pool made at the first split never needs more workers.
 _LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-_POOL = None, 0  # the worker lanes' executor and its thread count; the caller is lane 0
+_POOL = None  # the worker lanes' executor, made once by the first call that splits; the caller is lane 0
 _POOL_LOCK = threading.Lock()  # one caller uses the lanes at a time
 
 
 def _reset_pool():
     global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = (None, 0), threading.Lock()  # a forked child has none of the parent's threads
+    _POOL, _POOL_LOCK = None, threading.Lock()  # a forked child has none of the parent's threads
 
 
 if hasattr(os, "register_at_fork"):
@@ -410,21 +410,16 @@ def _runs(b: int, most: int | None = None) -> list:
 
 def _on_lanes(fn, calls) -> None:
     """fn(*args) for every args in calls, each on its own lane: the first on
-    the calling thread, the rest on worker lanes. Returns once every call has
-    run, raising the first error in call order."""
+    the calling thread, the rest on worker lanes (_runs caps calls at _LANES).
+    Returns once every call has run, raising the first error in call order."""
     global _POOL
     with _POOL_LOCK:
-        pool, size = _POOL
-        if size < len(calls) - 1:  # the first call that splits, or _LANES has grown since
+        if _POOL is None and len(calls) > 1:
             # imported here, so that importing qcseis loads no new module
             from concurrent.futures import ThreadPoolExecutor
 
-            if pool is not None:
-                pool.shutdown(wait=False)  # idle: every call it ran has been waited for
-            size = max(_LANES, len(calls)) - 1
-            pool = ThreadPoolExecutor(size, thread_name_prefix="qcseis-lane")
-            _POOL = pool, size
-        lanes = [pool.submit(fn, *args) for args in calls[1:]]
+            _POOL = ThreadPoolExecutor(max(_LANES, len(calls)) - 1, thread_name_prefix="qcseis-lane")
+        lanes = [_POOL.submit(fn, *args) for args in calls[1:]]
         try:
             fn(*calls[0])
         finally:

@@ -80,6 +80,8 @@ _TRAIN_DEFAULTS = {
     "out_dir": None,
 }
 _SECTIONS = {"data": _DATA_DEFAULTS, "model": _MODEL_DEFAULTS, "train": _TRAIN_DEFAULTS}
+# keys only the GAN reads: a unet run warns about each one its config file sets
+_GAN_ONLY_KEYS = (("model", "blocks"), ("train", "lambda_rec"), ("train", "com_in_discriminator"))
 
 
 def _merge_section(name: str, doc: dict, defaults: dict) -> dict:
@@ -186,7 +188,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(json.loads(Path(args.config).read_text()))
+    doc = json.loads(Path(args.config).read_text())
+    cfg = resolve_config(doc)
     tc = _train_config(cfg["train"])
 
     data_dir = Path(cfg["data"]["dir"])
@@ -201,6 +204,10 @@ def cmd_train(args) -> int:
     if family != expected_family:
         raise ConfigError(f"task {train_set.task!r} needs model family {expected_family!r}, "
                           f"config says {family!r}")
+    if family == "unet":
+        for section, key in _GAN_ONLY_KEYS:
+            if key in doc.get(section, {}):
+                log.warning("%s.%s is a qcgan setting; the unet run ignores it", section, key)
 
     # the networks are built and the resume checkpoint loaded and matched to their task, arch, runtime
     # state and epochs before out_dir is made, so a bad model section or checkpoint leaves nothing behind
@@ -267,6 +274,8 @@ def _dump_spectra(out_dir: Path, index: int, target, degraded, predicted, dt: fl
 def cmd_eval(args) -> int:
     ckpt = trainer.load_checkpoint(args.checkpoint)
     test_set = _load_split(args.data, "test")
+    if len(test_set) == 0:
+        raise ConfigError("test split has no patches")
     model = _restore_eval_model(ckpt, test_set.task)
 
     report = EvalReport(task=test_set.task)

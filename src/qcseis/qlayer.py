@@ -9,9 +9,9 @@ Circuits are frozen and the encoding gives a real product state a(x), so
 each expectation is the exact quadratic form E_k(x) = a(x)^T H_k a(x) with
 H_k = M_k diag(z) M_k^T, where row r of M_k is basis state r evolved by
 circuit k (run through qsim, which holds the only gate kernels) and z is
-the Pauli-Z sign pattern of qubit 0. H_k is cached by circuit content, and
-the K matrices are stacked so each chunk of windows multiplies them with
-its amplitudes, held amplitude-major as [2^n, windows], in one GEMM. Since
+the Pauli-Z sign pattern of qubit 0. A layer's K matrices are cached once,
+stacked; each window chunk (a fixed grid on autograd._on_items's lanes)
+multiplies them with its amplitudes, [2^n, windows], in one GEMM. Since
 da/dx_j = a(x + pi e_j) / 2 and H_k is symmetric,
 dE_k/dx_j = (H_k a) . a(x + pi e_j); for a product state a(x + pi e_j) is
 a(x) with the halves where qubit j is 0 and 1 swapped and the first
@@ -125,28 +125,27 @@ def _encode_rows(rows: np.ndarray) -> np.ndarray:
     return amps
 
 
-@lru_cache(maxsize=128)
-def _observable(n_qubits: int, angles_bytes: bytes) -> np.ndarray:
-    """Symmetric H with <Z_0> = a^T H a for every real input amplitude row a.
+@lru_cache(maxsize=32)
+def _observables(layer: tuple) -> np.ndarray:
+    """Every circuit's symmetric H, with <Z_0> = a^T H a for every real input
+    amplitude row a, stacked read-only into one [K * 2^n, 2^n] matrix.
 
-    Keyed by the circuit's content, not its identity: layers rebuild their
-    circuits from angle buffers on every call, and restoring a checkpoint
-    replaces those buffers. The bound holds every circuit of a GAN pair.
+    Keyed by each circuit's (n_qubits, angle bytes), not its identity: layers
+    rebuild their circuits from angle buffers on every call, and restoring a
+    checkpoint replaces those buffers. A layer's forward and input gradient
+    share the array. The bound holds every layer of a GAN pair of up to 15
+    blocks each, plus a UNet's.
     """
-    circuit = RandomCircuit(np.frombuffer(angles_bytes, dtype=np.float64).reshape(-1, n_qubits))
-    obs = qsim.Observable(0)
-    basis = np.eye(2 ** n_qubits)
-    states = [qsim.QuantumState(n_qubits, row) for row in basis]
-    evolved = np.stack([qsim.run_circuit(state, circuit).amplitudes for state in states])
-    z = np.array([qsim.expect(state, obs) for state in states])
-    h = ((evolved * z) @ evolved.conj().T).real
+    blocks = []
+    for n_qubits, angles_bytes in layer:
+        circuit = RandomCircuit(np.frombuffer(angles_bytes, dtype=np.float64).reshape(-1, n_qubits))
+        states = [qsim.QuantumState(n_qubits, row) for row in np.eye(2 ** n_qubits)]
+        evolved = np.stack([qsim.run_circuit(state, circuit).amplitudes for state in states])
+        z = np.array([qsim.expect(state, qsim.Observable(0)) for state in states])
+        blocks.append(((evolved * z) @ evolved.conj().T).real)
+    h = np.concatenate(blocks)
     h.setflags(write=False)
     return h
-
-
-def _observables(circuits) -> np.ndarray:
-    """Every circuit's H stacked into one [K * 2^n, 2^n] matrix."""
-    return np.concatenate([_observable(c.n_qubits, c.angles.tobytes()) for c in circuits])
 
 
 # ---------------------------------------------------------------------------
@@ -165,32 +164,31 @@ def _check_circuits(circuits, cfg: QuantumLayerConfig):
 
 
 def _on_window_chunks(m: int, window_bytes: int, fn) -> None:
-    """fn(r0, r1) for every chunk [r0, r1) of m windows, split over the lanes.
+    """fn(r0, r1) for every chunk [r0, r1) of m windows, each chunk one
+    item of autograd._on_items, so a lane runs a contiguous run of them.
 
     A chunk holds as many windows as keep their projected amplitudes,
     `window_bytes` each, within autograd's cache block, rounded down to a
     multiple of 64 and at least 64: 2048 for the default layer. Chunks start
-    at multiples of that from window 0, the last one takes the remainder,
-    and each lane takes a contiguous run of whole chunks, so the grid, and
-    every bit, is the same at any lane count. Where a chunk is past
-    OpenBLAS's small-matrix limit (3 or more qubits at the default block)
-    the grid also gives the bits of one whole-array GEMM. On OpenBLAS whole
-    groups of 8 columns come out the same in any GEMM, but a GEMM's last
-    N mod 8 columns take a kernel that depends on its size: GEMV for one
-    column, a small-matrix path below about 10^6 / (M·K) columns (976
-    windows for the default layer). Chunks of a multiple of 64 put the
-    last chunk's tail where the whole array's is, and a last chunk at
-    least a chunk long runs it on the same kernel. An even split per lane
-    would move the tail.
+    at multiples of that from window 0 and the last takes the remainder, so
+    the grid, and every bit, is the same at any lane count; past OpenBLAS's
+    small-matrix limit (3 or more qubits at the default block) it also gives
+    the bits of one whole-array GEMM. OpenBLAS computes whole groups of 8
+    columns the same in any GEMM, but a GEMM's last N mod 8 columns take a
+    kernel that depends on its size: GEMV for one column, a small-matrix
+    path below about 10^6 / (M·K) columns (976 windows for the default
+    layer). Chunks of a multiple of 64 put the last chunk's tail where the
+    whole array's is, and a last chunk at least a chunk long runs it on the
+    same kernel. Splitting the windows themselves per lane, as _on_items
+    splits items, would move the tail.
     """
     step = max(64, ag._BLOCK_BYTES // window_bytes // 64 * 64)
     chunks = max(1, m // step)
 
-    def run(n, e):
-        for i in range(n, e):
-            fn(i * step, m if i == chunks - 1 else (i + 1) * step)
+    def chunk(lane, i, _):
+        fn(i * step, m if i == chunks - 1 else (i + 1) * step)
 
-    ag._on_lanes(run, ag._runs(chunks))
+    ag._on_items(chunk, chunks, ag._BLOCK_BYTES)
 
 
 def quantum_forward(x: np.ndarray, circuits, cfg: QuantumLayerConfig,
@@ -200,15 +198,15 @@ def quantum_forward(x: np.ndarray, circuits, cfg: QuantumLayerConfig,
     Expectations are averaged over input channels, then repeated along the
     trace axis (and cropped) so the output [B, K, T, S] is spatially
     aligned with the input for channel-wise concatenation. The windows run
-    in cache-sized chunks on the lanes (_on_window_chunks), each encoded,
-    projected and contracted on its own, and the lane count changes no bit
-    of the result. `workers` is accepted for callers and selects nothing.
+    in cache-sized chunks of a fixed grid on the lanes (_on_window_chunks),
+    each encoded, projected and contracted on its own; the lane count
+    changes no bit. `workers` is accepted for callers and selects nothing.
     """
     arr = x.astype(np.float64, copy=False)
     _check_circuits(circuits, cfg)
     b, c, t, s = arr.shape
     rows = unfold(arr, cfg) * cfg.input_scale
-    h = _observables(circuits)
+    h = _observables(tuple((circ.n_qubits, circ.angles.tobytes()) for circ in circuits))
     k, m = len(circuits), rows.shape[0]
     y = np.empty((k, m))
 
@@ -243,7 +241,7 @@ def quantum_input_grad(upstream: np.ndarray, x_shape: tuple, rows: np.ndarray, c
     # channel-mean adjoint: every input channel sees the same coefficient / C
     coef = np.repeat(per_window[:, None] / c, c, axis=1)  # [B, C, K, T, S']
     coef_flat = coef.transpose(2, 0, 1, 3, 4).reshape(k, m)
-    h = _observables(circuits)
+    h = _observables(tuple((circ.n_qubits, circ.angles.tobytes()) for circ in circuits))
     dim = h.shape[1]
     grad_rows = np.empty_like(rows)
 

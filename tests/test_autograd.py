@@ -494,19 +494,6 @@ class TestConvLanes:
             signal.signal(signal.SIGALRM, previous)
         assert seen == [0, 1, 2]  # the interrupt surfaced only once every lane had finished
 
-    def test_every_run_has_its_own_lane_after_the_lane_count_grows(self, monkeypatch):
-        # a pool made at 2 lanes has one worker; at 4 lanes the 4 runs meet at
-        # a barrier, which only a pool grown to 3 workers lets them reach
-        monkeypatch.setattr(ag, "_POOL", (None, 0))
-        monkeypatch.setattr(ag, "_LANES", 2)
-        ag._on_lanes(lambda: None, [(), ()])
-        monkeypatch.setattr(ag, "_LANES", 4)
-        barrier = threading.Barrier(4, timeout=10)
-        try:
-            ag._on_lanes(barrier.wait, [()] * 4)
-        finally:
-            ag._POOL[0].shutdown()
-
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_a_fresh_pool(self, monkeypatch):
         monkeypatch.setattr(ag, "_LANES", 3)
@@ -514,7 +501,7 @@ class TestConvLanes:
         x, w, b = conv_inputs(rng, (6, 4, 48, 48), (5, 4, 3, 3), np.float32)
         g = rng.normal(size=(6, 5, 48, 48)).astype(np.float32)
         out = ag.conv2d(x, w, b, 1, 1)  # its columns exceed one block, so it splits and the pool has started
-        assert ag._POOL[0] is not None
+        assert ag._POOL is not None
         ref = [bits(a) for a in (out.data, *out._backward(g))]
         pid = os.fork()
         if pid == 0:  # the child: the parent's lane threads do not exist here
@@ -624,9 +611,9 @@ class TestOnItems:
                 "    ag.backward(ag.tsum(ag.prelu(out, alpha)))\n"
                 "    assert x.grad is not None and w.grad is not None\n"
                 "unit(4, 3, 16, 12)\n"
-                "print(threading.active_count(), ag._POOL == (None, 0))\n"
+                "print(threading.active_count(), ag._POOL is None)\n"
                 "unit(8, 16, 16, 32)\n"
-                "print(threading.active_count(), ag._POOL[0] is not None)\n")
+                "print(threading.active_count(), ag._POOL is not None)\n")
         src = str(Path(ag.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=src))

@@ -215,6 +215,26 @@ class TestConfigSchema:
         assert not (tmp_path / "out").exists()  # rejected before the run directory is made
 
 
+    def test_unet_warns_about_each_gan_only_key(self, lfe_dataset, tmp_path):
+        # the UNet reads none of these; the run trains as it would without them
+        plain = unet_config(lfe_dataset, tmp_path / "plain")
+        gan_keys = unet_config(lfe_dataset, tmp_path / "gan_keys")
+        gan_keys["model"]["blocks"] = 9
+        gan_keys["train"].update(lambda_rec=0.0, com_in_discriminator=False)
+        procs = []
+        for doc in (plain, gan_keys):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(doc))
+            procs.append(run_module(["train", "--config", str(config)]))
+            assert procs[-1].returncode == cli.EXIT_OK, procs[-1].stderr
+        warnings = [[line for line in proc.stderr.splitlines() if line.startswith("WARNING")] for proc in procs]
+        assert warnings == [[], [f"WARNING qcseis.cli: {key} is a qcgan setting; the unet run ignores it"
+                                 for key in ("model.blocks", "train.lambda_rec", "train.com_in_discriminator")]]
+        assert ((tmp_path / "plain" / "history.csv").read_bytes()
+                == (tmp_path / "gan_keys" / "history.csv").read_bytes())
+        resolved = json.loads((tmp_path / "gan_keys" / "resolved_config.json").read_text())
+        assert (resolved["model"]["blocks"], resolved["train"]["lambda_rec"]) == (9, 0.0)
+
     def test_negative_init_seed_named(self, small_dataset, tmp_path):
         doc = self.base_doc("qcgan", small_dataset, tmp_path / "out")
         doc["model"]["init_seed"] = -1
@@ -374,12 +394,17 @@ def rename_entry(name, new):
     return lambda raw: raw.replace(name.encode(), new.encode(), 1)
 
 
+def first_entry_rank_at(raw: bytes) -> int:
+    """Offset of the first entry's rank byte, which its dims and dtype tag follow."""
+    (n,) = struct.unpack_from("<I", raw, 8)
+    at = 12 + n + 4  # past the header, the config blob and the entry count
+    return at + 2 + struct.unpack_from("<H", raw, at)[0]  # past the name
+
+
 def first_entry_dims(dims):
     """Give the checkpoint's first entry these dims, keeping its dtype tag and data."""
     def edit(raw):
-        (n,) = struct.unpack_from("<I", raw, 8)
-        at = 12 + n + 4  # past the header, the config blob and the entry count
-        at += 2 + struct.unpack_from("<H", raw, at)[0]  # past the name
+        at = first_entry_rank_at(raw)
         return raw[:at] + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + raw[at + 1 + 8 * raw[at]:]
     return edit
 
@@ -389,6 +414,15 @@ def entry_dims(name, dims):
     def edit(raw):
         at = raw.index(name.encode()) + len(name)
         return raw[:at] + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + raw[at + 1 + 8 * raw[at]:]
+    return edit
+
+
+def first_entry_tag(tag):
+    """Give the checkpoint's first entry this dtype tag, keeping its dims and data."""
+    def edit(raw):
+        at = first_entry_rank_at(raw)
+        at += 1 + 8 * raw[at]  # past the rank and the dims
+        return raw[:at] + bytes([tag]) + raw[at + 1:]
     return edit
 
 
@@ -482,6 +516,21 @@ class TestEvalCommand:
         code = run_cli(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
                         "--report", str(tmp_path / "r.csv")])
         assert code == cli.EXIT_MISMATCH
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported checkpoint version 2"),
+        (first_entry_tag(7), "has unknown dtype tag 7"),
+    ], ids=["version_2", "dtype_tag_7"])
+    def test_unreadable_header_value_named(self, trained, small_dataset, tmp_path, edit, named):
+        path = tmp_path / "bad.qckp"
+        path.write_bytes(edit(trained.read_bytes()))
+        with pytest.raises(trainer.CheckpointError, match=named):
+            trainer.load_checkpoint(path)
+        proc = run_module(["eval", "--checkpoint", str(path), "--data", str(small_dataset),
+                           "--report", str(tmp_path / "r.csv")])
+        assert_exit(proc, cli.EXIT_MISMATCH)
+        assert named in proc.stderr
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("edit", [lambda blob: b"{" + blob, lambda blob: b"[]",
                                       drop_key("arch"), drop_key("task"),
@@ -829,6 +878,22 @@ class TestNoTraceback:
         proc = run_module(["eval", "--checkpoint", str(trained), "--data", str(data),
                            "--report", str(tmp_path / "r.csv")])
         assert_exit(proc, cli.EXIT_CONFIG)
+
+    def test_eval_empty_test_split(self, trained, small_dataset, tmp_path, monkeypatch):
+        # nothing to score: the checkpoint's model is never restored
+        data = copy_dataset(small_dataset, tmp_path / "data")
+        test = seisdata.load_split(data, "test")
+        seisdata.save_seis(data / "test.seis", seisdata.SeismicDataset(
+            test.targets[:0], test.degraded[:0], test.masks[:0], test.dt, test.dx, test.task))
+        argv = ["eval", "--checkpoint", str(trained), "--data", str(data), "--report", str(tmp_path / "r.csv")]
+        proc = run_module(argv)
+        assert_exit(proc, cli.EXIT_CONFIG)
+        assert "test split has no patches" in proc.stderr
+        restored = []
+        monkeypatch.setattr(cli, "_restore_eval_model", lambda *args: restored.append(args))
+        assert run_cli(argv) == cli.EXIT_CONFIG
+        assert restored == []
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--v-lo", "0", "--v-hi", "0"],

@@ -228,3 +228,25 @@ def test_conv_calls_module_functions_once(monkeypatch):
     x = ag.Tensor(np.random.default_rng(8).normal(size=(2, 2, 3, 8)), requires_grad=True, dtype=np.float64)
     ag.backward(ag.tmean(qlayer.quantum_conv(x, cfg.make_circuits(), cfg)))
     assert calls == {"quantum_forward": 1, "quantum_input_grad": 1}
+
+
+def test_forward_and_backward_share_one_stacked_observable(monkeypatch):
+    # a layer's K observables are stacked once, cached by circuit content and
+    # read-only: its forward, its input gradient and a later forward (whose
+    # circuits are rebuilt from the angle buffers) get the same array
+    seen = []
+    observables = qlayer._observables
+
+    def recording(*args):
+        seen.append(observables(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(qlayer, "_observables", recording)
+    cfg = QuantumLayerConfig(seed=13)
+    layer = QuantumConv(cfg)
+    x = ag.Tensor(np.random.default_rng(2).normal(size=(2, 2, 3, 8)), requires_grad=True, dtype=np.float64)
+    ag.backward(ag.tmean(layer(x)))
+    layer(x)
+    assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
+    assert seen[0].shape == (cfg.n_circuits * 2 ** cfg.n_qubits, 2 ** cfg.n_qubits)
+    assert not seen[0].flags.writeable

@@ -585,3 +585,18 @@ class TestDivergenceGuard:
         guard.observe(float("nan"))
         guard.observe(float("nan"))
         guard.observe(1.0)
+
+
+class TestBatches:
+    def test_trailing_batch_of_one_is_dropped_with_one_info_line(self, caplog):
+        # batch statistics need two items, so a last batch of one trains nothing
+        with caplog.at_level("INFO", logger="qcseis.trainer"):
+            batches = [idx.tolist() for idx in trainer._batches(np.arange(17), 8)]
+        assert batches == [list(range(8)), list(range(8, 16))]
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("INFO", "dropping trailing batch of size 1 (batch stats need >= 2)")]
+
+    def test_trailing_batch_of_two_is_kept(self, caplog):
+        with caplog.at_level("INFO", logger="qcseis.trainer"):
+            assert [len(idx) for idx in trainer._batches(np.arange(18), 8)] == [8, 8, 2]
+        assert caplog.records == []
